@@ -34,10 +34,10 @@ class OrthoGraph:
         return len(self.ids)
 
     def edge_count(self) -> int:
-        return sum(bin(r).count("1") for r in self.rows) // 2
+        return sum(r.bit_count() for r in self.rows) // 2
 
     def degree(self, pos: int) -> int:
-        return bin(self.rows[pos]).count("1")
+        return self.rows[pos].bit_count()
 
 
 def build_ortho_graph(table: RayTable) -> OrthoGraph:
@@ -68,14 +68,11 @@ def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
     full = (1 << graph.n) - 1
     found = []
 
-    def popcount(x: int) -> int:
-        return bin(x).count("1")
-
     def extend(r_count: int, r_vertices: list, p: int, x: int):
         if r_count == target:
             found.append(tuple(r_vertices))
             return
-        if r_count + popcount(p) < target:
+        if r_count + p.bit_count() < target:
             return
         if p == 0:
             return
@@ -86,7 +83,7 @@ def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
-            deg = popcount(p & rows[v])
+            deg = (p & rows[v]).bit_count()
             if deg > best:
                 best = deg
                 pivot = v

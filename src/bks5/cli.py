@@ -3,11 +3,13 @@
 Every subcommand writes deterministic artifacts (no timestamps, sorted
 keys) into the output directory and prints a one-line summary.  ``verify``
 reruns the complete battery of checks against the embedded reference data
-and prints one PASS/FAIL line per check.
+and prints one PASS/FAIL line per check; a check that raises is reported as
+FAIL with the exception on an indented line below, and the rest still run.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -18,7 +20,6 @@ from . import catalog, dpll
 from .bases import (bases_sha256, build_ortho_graph, contains_basis,
                     enumerate_maximal_bases, write_bases_json,
                     write_bases_text)
-from .cache import memo_json
 from .coloring import KSInstance, check_colorable, export_cnf
 from .geometry import geometry_report
 from .metrics import distance_spectrum, emit_histogram, format_distance
@@ -40,42 +41,13 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-def _proof_bases() -> list:
-    return [catalog.PROOF_BASES[k] for k in sorted(catalog.PROOF_BASES)]
-
-
-def _block_bases() -> list:
-    return [tuple(range(lo, hi + 1))
-            for lo, hi in (catalog.BLOCK_RANGES[label]
-                           for label in catalog.BLOCK_ORDER)]
-
-
-def _all_bases(table, graph) -> list:
-    key = {"rays": [r.to_string() for r in table.rays], "dim": graph.dim}
-    value = memo_json("maximal_bases", key,
-                      lambda: [list(b) for b in
-                               enumerate_maximal_bases(graph)])
-    bases = [tuple(b) for b in value]
-    if len(bases) != catalog.BASIS_COUNT or \
-            bases_sha256(bases) != catalog.BASES_SHA256:
-        bases = enumerate_maximal_bases(graph)
-    return bases
-
-
-def _all_partitions(bases) -> list:
-    key = {"bases_sha256": bases_sha256(bases)}
-    value = memo_json("partitions", key,
-                      lambda: [list(p) for p in find_partitions(bases)])
-    return [tuple(p) for p in value]
-
-
-def _select_bases(selection: str, table, graph) -> list:
+def _select_bases(selection: str, graph) -> list:
     if selection == "proof":
-        return _proof_bases()
+        return catalog.proof_bases()
     if selection == "blocks":
-        return _block_bases()
+        return catalog.block_bases()
     if selection == "all":
-        return _all_bases(table, graph)
+        return enumerate_maximal_bases(graph)
     raise ValueError("unknown basis selection %r" % selection)
 
 
@@ -103,26 +75,24 @@ def cmd_rays(args) -> int:
 
 
 def cmd_bases(args) -> int:
-    table = build_ray_table()
-    graph = build_ortho_graph(table)
-    bases = _all_bases(table, graph)
+    graph = build_ortho_graph(build_ray_table())
+    bases = enumerate_maximal_bases(graph)
     out = _out_dir(args)
     write_bases_text(bases, out / "bases.txt")
     write_bases_json(bases, out / "bases.json")
     digest = bases_sha256(bases)
     ok = (len(bases) == catalog.BASIS_COUNT
           and digest == catalog.BASES_SHA256
-          and all(contains_basis(bases, b) for b in _proof_bases())
-          and all(contains_basis(bases, b) for b in _block_bases()))
+          and all(contains_basis(bases, b) for b in catalog.proof_bases())
+          and all(contains_basis(bases, b) for b in catalog.block_bases()))
     print("bases: %d enumerated, census %s (sha256 %s...)"
           % (len(bases), "verified" if ok else "MISMATCH", digest[:12]))
     return 0 if ok else 1
 
 
 def cmd_color(args) -> int:
-    table = build_ray_table()
-    graph = build_ortho_graph(table)
-    selected = _select_bases(args.bases, table, graph)
+    graph = build_ortho_graph(build_ray_table())
+    selected = _select_bases(args.bases, graph)
     inst = KSInstance.build(graph, selected)
     result = check_colorable(inst)
     cnf = export_cnf(inst)
@@ -150,14 +120,11 @@ def cmd_color(args) -> int:
 
 
 def cmd_search(args) -> int:
-    table = build_ray_table()
-    graph = build_ortho_graph(table)
-    bases = _all_bases(table, graph)
-    partitions = _all_partitions(bases)
+    graph = build_ortho_graph(build_ray_table())
+    bases = enumerate_maximal_bases(graph)
     candidate = search_small_proof(graph, bases, seed=args.seed,
                                    max_size=args.max_size,
-                                   budget=args.budget,
-                                   partitions=partitions)
+                                   budget=args.budget)
     out = _out_dir(args)
     _write_json(out / "search.json", {
         "status": candidate.status,
@@ -176,7 +143,7 @@ def cmd_search(args) -> int:
 def cmd_distances(args) -> int:
     table = build_ray_table()
     graph = build_ortho_graph(table)
-    selected = _select_bases(args.bases, table, graph)
+    selected = _select_bases(args.bases, graph)
     spectrum = distance_spectrum(table, selected)
     out = _out_dir(args)
     formats = args.format.split(",")
@@ -236,79 +203,108 @@ def cmd_symmetry(args) -> int:
 
 def cmd_verify(args) -> int:
     t_start = time.time()
-    checks = []
-    table = build_ray_table()
-    graph = build_ortho_graph(table)
+    # Shared derivations are built on first use; one that raises fails
+    # every check that needs it instead of aborting the battery.
+    @functools.cache
+    def table():
+        return build_ray_table()
 
-    census = {}
-    for r in table.rays:
-        census[r.support] = census.get(r.support, 0) + 1
-    checks.append(("ray_table", census == {1: 32, 8: 96, 16: 32}
-                   and table.partner_id(138) == 155
-                   and table.partner_id(139) == 154))
+    @functools.cache
+    def graph():
+        return build_ortho_graph(table())
 
-    magic = verify_magic(magic_configuration())
-    checks.append(("magic_parity", magic.operator_count == 14
-                   and all(c == 2 for c in magic.occurrences.values())
-                   and magic.sign_product == -1
-                   and magic.parity_contradiction))
+    @functools.cache
+    def bases():
+        return enumerate_maximal_bases(graph())
 
-    bases = _all_bases(table, graph)
-    checks.append(("maximal_bases", len(bases) == catalog.BASIS_COUNT
-                   and bases_sha256(bases) == catalog.BASES_SHA256
-                   and all(contains_basis(bases, b) for b in _proof_bases())
-                   and all(contains_basis(bases, b) for b in _block_bases())))
+    def ray_table() -> bool:
+        census = {}
+        for r in table().rays:
+            census[r.support] = census.get(r.support, 0) + 1
+        return (census == {1: 32, 8: 96, 16: 32}
+                and table().partner_id(138) == 155
+                and table().partner_id(139) == 154)
+
+    def magic_parity() -> bool:
+        magic = verify_magic(magic_configuration())
+        return (magic.operator_count == 14
+                and all(c == 2 for c in magic.occurrences.values())
+                and magic.sign_product == -1
+                and magic.parity_contradiction)
+
+    def maximal_bases() -> bool:
+        found = bases()
+        return (len(found) == catalog.BASIS_COUNT
+                and bases_sha256(found) == catalog.BASES_SHA256
+                and all(contains_basis(found, b)
+                        for b in catalog.proof_bases())
+                and all(contains_basis(found, b)
+                        for b in catalog.block_bases()))
 
     def non_colorable_and_cross_checked(selection) -> bool:
-        inst = KSInstance.build(graph, selection)
+        inst = KSInstance.build(graph(), selection)
         result = check_colorable(inst)
         nvars, clauses = dpll.parse_dimacs(export_cnf(inst))
         cross = dpll.solve(nvars, clauses)
         return result.status == "non_colorable" and not cross.satisfiable
 
-    checks.append(("coloring_proof_bases",
-                   non_colorable_and_cross_checked(_proof_bases())))
-    checks.append(("coloring_all_bases",
-                   non_colorable_and_cross_checked(bases)))
+    def unique_partition() -> bool:
+        expected = tuple(k - 1 for k in catalog.PARTITION_BASES)
+        return find_partitions(catalog.proof_bases()) == [expected]
 
-    parts21 = find_partitions(_proof_bases())
-    expected = tuple(k - 1 for k in catalog.PARTITION_BASES)
-    checks.append(("unique_partition", parts21 == [expected]))
+    def distance_spectra() -> bool:
+        spec21 = distance_spectrum(table(), catalog.proof_bases())
+        spec_all = distance_spectrum(table(), bases())
+        peaks = {Fraction(*p) for p in catalog.PEAKS}
+        return (spec21.distinct_value_count ==
+                catalog.DISTINCT_DISTANCES_PROOF
+                and spec_all.distinct_value_count ==
+                catalog.DISTINCT_DISTANCES_ALL
+                and {v for v, _ in spec21.top_values(2)} == peaks)
 
-    spec21 = distance_spectrum(table, _proof_bases())
-    spec_all = distance_spectrum(table, bases)
-    peaks = {Fraction(*p) for p in catalog.PEAKS}
-    checks.append(("distance_spectra",
-                   spec21.distinct_value_count ==
-                   catalog.DISTINCT_DISTANCES_PROOF
-                   and spec_all.distinct_value_count ==
-                   catalog.DISTINCT_DISTANCES_ALL
-                   and {v for v, _ in spec21.top_values(2)} == peaks))
+    def geometry() -> bool:
+        geometry_report()  # raises AssertionError on any deviation
+        return True
 
-    try:
-        geometry_report()
-        checks.append(("geometry", True))
-    except AssertionError:
-        checks.append(("geometry", False))
+    def symmetry() -> bool:
+        aut = automorphism_group(build_overlap_graph(catalog.PROOF_BASES))
+        return (aut.order == catalog.AUT_ORDER
+                and aut.normal_ea_order == catalog.AUT_NORMAL_EA_ORDER
+                and aut.quotient_order == catalog.AUT_QUOTIENT_ORDER
+                and aut.quotient_nonabelian and aut.closure_verified)
 
-    aut = automorphism_group(build_overlap_graph(catalog.PROOF_BASES))
-    checks.append(("symmetry", aut.order == catalog.AUT_ORDER
-                   and aut.normal_ea_order == catalog.AUT_NORMAL_EA_ORDER
-                   and aut.quotient_order == catalog.AUT_QUOTIENT_ORDER
-                   and aut.quotient_nonabelian and aut.closure_verified))
+    def search_regression() -> bool:
+        golden = catalog.SEARCH_GOLDEN
+        candidate = search_small_proof(graph(), bases(), seed=0)
+        return (candidate.status == "found"
+                and candidate.restart == golden["restart"]
+                and candidate.size == golden["size"]
+                and list(candidate.basis_indices) == golden["bases"])
 
-    partitions = _all_partitions(bases)
-    golden = catalog.SEARCH_GOLDEN
-    candidate = search_small_proof(graph, bases, seed=0,
-                                   partitions=partitions)
-    checks.append(("search_regression", candidate.status == "found"
-                   and candidate.restart == golden["restart"]
-                   and candidate.size == golden["size"]
-                   and list(candidate.basis_indices) == golden["bases"]))
-
+    checks = [
+        ("ray_table", ray_table),
+        ("magic_parity", magic_parity),
+        ("maximal_bases", maximal_bases),
+        ("coloring_proof_bases",
+         lambda: non_colorable_and_cross_checked(catalog.proof_bases())),
+        ("coloring_all_bases",
+         lambda: non_colorable_and_cross_checked(bases())),
+        ("unique_partition", unique_partition),
+        ("distance_spectra", distance_spectra),
+        ("geometry", geometry),
+        ("symmetry", symmetry),
+        ("search_regression", search_regression),
+    ]
     failures = 0
-    for name, ok in checks:
+    for name, check in checks:
+        # Any exception is this check's FAIL; the battery keeps going.
+        try:
+            ok, reason = check(), None
+        except Exception as exc:
+            ok, reason = False, "%s: %s" % (type(exc).__name__, exc)
         print("%-22s %s" % (name, "PASS" if ok else "FAIL"))
+        if reason is not None:
+            print("    reason: %s" % reason)
         failures += 0 if ok else 1
     print("verify: %d/%d checks passed in %.1fs"
           % (len(checks) - failures, len(checks), time.time() - t_start))

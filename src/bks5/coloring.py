@@ -74,11 +74,13 @@ class ColoringResult:
     propagations: int
 
 
-def check_colorable(inst: KSInstance) -> ColoringResult:
-    """Decide colorability by exhaustive propagation-driven search."""
-    m = len(inst.ray_ids)
+def _compile(inst: KSInstance):
+    """Bitmask view: ray positions, per-ray orthogonality masks, basis masks.
+
+    Bit i of every mask stands for ``inst.ray_ids[i]``.
+    """
     pos = {rid: i for i, rid in enumerate(inst.ray_ids)}
-    adj = [0] * m
+    adj = [0] * len(inst.ray_ids)
     for a, b in inst.ortho_pairs:
         adj[pos[a]] |= 1 << pos[b]
         adj[pos[b]] |= 1 << pos[a]
@@ -88,6 +90,12 @@ def check_colorable(inst: KSInstance) -> ColoringResult:
         for rid in ids:
             mask |= 1 << pos[rid]
         basis_masks.append(mask)
+    return pos, adj, basis_masks
+
+
+def check_colorable(inst: KSInstance) -> ColoringResult:
+    """Decide colorability by exhaustive propagation-driven search."""
+    pos, adj, basis_masks = _compile(inst)
     stats = {"nodes": 0, "propagations": 0}
 
     def propagate(ones: int, zeros: int):
@@ -119,7 +127,7 @@ def check_colorable(inst: KSInstance) -> ColoringResult:
             if mask & ones:
                 continue
             avail = mask & ~zeros
-            count = bin(avail).count("1")
+            count = avail.bit_count()
             if best_count is None or count < best_count:
                 best_count = count
                 best_mask = avail
@@ -148,18 +156,7 @@ def check_colorable(inst: KSInstance) -> ColoringResult:
 
 def count_colorings(inst: KSInstance) -> int:
     """Exhaustively count admissible colorings (used as a cross-check)."""
-    m = len(inst.ray_ids)
-    pos = {rid: i for i, rid in enumerate(inst.ray_ids)}
-    adj = [0] * m
-    for a, b in inst.ortho_pairs:
-        adj[pos[a]] |= 1 << pos[b]
-        adj[pos[b]] |= 1 << pos[a]
-    basis_masks = []
-    for ids in inst.bases:
-        mask = 0
-        for rid in ids:
-            mask |= 1 << pos[rid]
-        basis_masks.append(mask)
+    _, adj, basis_masks = _compile(inst)
 
     def count(idx: int, ones: int, zeros: int) -> int:
         while idx < len(basis_masks) and basis_masks[idx] & ones:

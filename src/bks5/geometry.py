@@ -34,11 +34,11 @@ def point_to_spec(point: int, n: int) -> str:
 def symplectic_form(u: int, v: int, n: int) -> int:
     xu, zu = u >> n, u & ((1 << n) - 1)
     xv, zv = v >> n, v & ((1 << n) - 1)
-    return (bin(xu & zv).count("1") + bin(zu & xv).count("1")) % 2
+    return ((xu & zv).bit_count() + (zu & xv).bit_count()) % 2
 
 
 def quadratic_form(u: int, n: int) -> int:
-    return bin((u >> n) & u).count("1") % 2
+    return ((u >> n) & u).bit_count() % 2
 
 
 @dataclass(frozen=True)

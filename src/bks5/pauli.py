@@ -86,7 +86,7 @@ def pauli_mul(a: PauliOp, b: PauliOp) -> PauliOp:
     """
     if a.n != b.n:
         raise ValueError("qubit count mismatch")
-    swaps = bin(a.z_bits & b.x_bits).count("1")
+    swaps = (a.z_bits & b.x_bits).bit_count()
     sign = a.sign * b.sign * (-1 if swaps % 2 else 1)
     return PauliOp(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits, sign)
 
@@ -95,13 +95,13 @@ def commutes(a: PauliOp, b: PauliOp) -> bool:
     """True iff a @ b == b @ a (symplectic form of the bit parts vanishes)."""
     if a.n != b.n:
         raise ValueError("qubit count mismatch")
-    form = bin(a.x_bits & b.z_bits).count("1") + bin(a.z_bits & b.x_bits).count("1")
+    form = (a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()
     return form % 2 == 0
 
 
 def is_symmetric(p: PauliOp) -> bool:
     """True iff the matrix equals its transpose (even number of Y factors)."""
-    return bin(p.x_bits & p.z_bits).count("1") % 2 == 0
+    return (p.x_bits & p.z_bits).bit_count() % 2 == 0
 
 
 def pauli_to_matrix(p: PauliOp) -> np.ndarray:
@@ -127,7 +127,7 @@ def apply_pauli(p: PauliOp, vec) -> np.ndarray:
     for j in range(dim):
         if vec[j] == 0:
             continue
-        par = bin(j & p.z_bits).count("1")
+        par = (j & p.z_bits).bit_count()
         out[j ^ p.x_bits] += p.sign * (-1 if par % 2 else 1) * vec[j]
     return out
 

@@ -50,7 +50,7 @@ def build_overlap_graph(bases: dict) -> OverlapGraph:
 
 
 def _refine_colors(g: OverlapGraph) -> list:
-    colors = [bin(g.adj[i]).count("1") for i in range(g.n)]
+    colors = [g.adj[i].bit_count() for i in range(g.n)]
     while True:
         signatures = []
         for v in range(g.n):
@@ -76,7 +76,7 @@ def _all_automorphisms(g: OverlapGraph) -> list:
             if colors[w] == colors[v]:
                 mask |= 1 << w
         base_cand.append(mask)
-    order = sorted(range(n), key=lambda v: (bin(base_cand[v]).count("1"), v))
+    order = sorted(range(n), key=lambda v: (base_cand[v].bit_count(), v))
     found = []
 
     def extend(idx: int, image: dict, cand: list, used: int):

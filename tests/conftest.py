@@ -20,14 +20,12 @@ def ortho_graph(ray_table):
 
 @pytest.fixture(scope="session")
 def proof_bases():
-    return [catalog.PROOF_BASES[k] for k in sorted(catalog.PROOF_BASES)]
+    return catalog.proof_bases()
 
 
 @pytest.fixture(scope="session")
 def block_bases():
-    return [tuple(range(lo, hi + 1))
-            for lo, hi in (catalog.BLOCK_RANGES[label]
-                           for label in catalog.BLOCK_ORDER)]
+    return catalog.block_bases()
 
 
 @pytest.fixture(scope="session")

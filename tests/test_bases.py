@@ -1,4 +1,6 @@
 """Tests for the orthogonality graph and maximal-basis enumeration."""
+from itertools import combinations
+
 import numpy as np
 
 from bks5 import catalog
@@ -61,6 +63,15 @@ class TestEnumeration:
 
     def test_rerun_is_identical(self, ortho_graph, all_bases):
         assert enumerate_maximal_bases(ortho_graph) == all_bases
+
+    def test_bases_cover_every_orthogonal_pair(self, ortho_graph, all_bases):
+        ids, rows = ortho_graph.ids, ortho_graph.rows
+        edges = {(ids[i], ids[j])
+                 for i, j in combinations(range(ortho_graph.n), 2)
+                 if (rows[i] >> j) & 1}
+        covered = {pair for b in all_bases for pair in combinations(b, 2)}
+        assert len(edges) == catalog.ORTHO_PAIR_COUNT
+        assert covered == edges
 
 
 class TestContainsBasis:

@@ -1,33 +1,10 @@
-"""End-to-end checks of the command-line interface and the JSON cache."""
+"""End-to-end checks of the command-line interface."""
 import json
 
 import pytest
 
-from bks5 import catalog
-from bks5.bases import bases_sha256
-from bks5.cache import content_key, memo_json
+from bks5 import catalog, geometry
 from bks5.cli import main
-
-
-@pytest.fixture(scope="module")
-def seeded_cache(tmp_path_factory, ray_table, ortho_graph, all_bases,
-                 all_partitions):
-    """A cache directory pre-filled with the expensive derivations."""
-    directory = tmp_path_factory.mktemp("cache")
-    key = content_key({"rays": [r.to_string() for r in ray_table.rays],
-                       "dim": ortho_graph.dim})
-    (directory / "maximal_bases.json").write_text(
-        json.dumps({"key": key, "value": [list(b) for b in all_bases]}))
-    key = content_key({"bases_sha256": bases_sha256(all_bases)})
-    (directory / "partitions.json").write_text(
-        json.dumps({"key": key, "value": [list(p) for p in all_partitions]}))
-    return directory
-
-
-@pytest.fixture()
-def cache_env(seeded_cache, monkeypatch):
-    monkeypatch.setenv("BKS5_CACHE_DIR", str(seeded_cache))
-    return seeded_cache
 
 
 def run(tmp_path, *argv):
@@ -69,7 +46,7 @@ class TestRaysCommand:
 class TestBasesCommand:
     """``bases`` enumerates, serializes and cross-checks the catalogue."""
 
-    def test_enumerates_and_verifies(self, tmp_path, cache_env, capsys):
+    def test_enumerates_and_verifies(self, tmp_path, capsys):
         code, out = run(tmp_path, "bases")
         assert code == 0
         lines = (out / "bases.txt").read_text().splitlines()
@@ -78,30 +55,6 @@ class TestBasesCommand:
         data = json.loads((out / "bases.json").read_text())
         assert data["count"] == 661
         assert len(data["bases"]) == 661
-        assert "661 enumerated, census verified" in capsys.readouterr().out
-
-    def test_corrupt_cache_is_rebuilt(self, tmp_path, monkeypatch, capsys):
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        (directory / "maximal_bases.json").write_text("{ not json")
-        monkeypatch.setenv("BKS5_CACHE_DIR", str(directory))
-        code, _ = run(tmp_path, "bases")
-        assert code == 0
-        repaired = json.loads((directory / "maximal_bases.json").read_text())
-        assert len(repaired["value"]) == 661
-        assert "census verified" in capsys.readouterr().out
-
-    def test_wrong_cached_value_falls_back(self, tmp_path, ray_table,
-                                           ortho_graph, monkeypatch, capsys):
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        key = content_key({"rays": [r.to_string() for r in ray_table.rays],
-                           "dim": ortho_graph.dim})
-        (directory / "maximal_bases.json").write_text(
-            json.dumps({"key": key, "value": [[1, 2, 3]]}))
-        monkeypatch.setenv("BKS5_CACHE_DIR", str(directory))
-        code, _ = run(tmp_path, "bases")
-        assert code == 0
         assert "661 enumerated, census verified" in capsys.readouterr().out
 
 
@@ -135,7 +88,7 @@ class TestColorCommand:
 class TestSearchCommand:
     """``search`` is reproducible from its seed."""
 
-    def test_pinned_seed_reproduces_golden(self, tmp_path, cache_env, capsys):
+    def test_pinned_seed_reproduces_golden(self, tmp_path, capsys):
         code, out = run(tmp_path, "search", "--seed", "0")
         assert code == 0
         data = json.loads((out / "search.json").read_text())
@@ -145,7 +98,7 @@ class TestSearchCommand:
         assert data["basis_indices"] == list(catalog.SEARCH_GOLDEN["bases"])
         assert "found, size 5" in capsys.readouterr().out
 
-    def test_zero_budget_is_reported(self, tmp_path, cache_env, capsys):
+    def test_zero_budget_is_reported(self, tmp_path, capsys):
         code, out = run(tmp_path, "search", "--budget", "0")
         assert code == 0
         data = json.loads((out / "search.json").read_text())
@@ -210,7 +163,7 @@ class TestSymmetryCommand:
 class TestVerifyCommand:
     """``verify`` prints one PASS/FAIL line per check and a summary."""
 
-    def test_all_checks_pass(self, tmp_path, cache_env, capsys):
+    def test_all_checks_pass(self, tmp_path, capsys):
         code, _ = run(tmp_path, "verify")
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
@@ -222,44 +175,20 @@ class TestVerifyCommand:
                          "symmetry", "search_regression"]
         assert all(line.split()[1] == "PASS" for line in lines[:-1])
 
+    def test_raising_check_fails_alone(self, tmp_path, monkeypatch, capsys):
+        def broken(spaces):
+            raise ValueError("no generator split")
 
-class TestMemoJson:
-    """Transparent caching with staleness and corruption recovery."""
-
-    def test_disabled_without_directory(self, monkeypatch):
-        monkeypatch.delenv("BKS5_CACHE_DIR", raising=False)
-        calls = []
-
-        def build():
-            calls.append(1)
-            return {"v": 7}
-
-        assert memo_json("probe", {"k": 1}, build) == {"v": 7}
-        assert memo_json("probe", {"k": 1}, build) == {"v": 7}
-        assert len(calls) == 2
-
-    def test_hit_skips_builder(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BKS5_CACHE_DIR", str(tmp_path))
-        assert memo_json("probe", {"k": 1}, lambda: [1, 2, 3]) == [1, 2, 3]
-
-        def explode():
-            raise AssertionError("builder must not run on a cache hit")
-
-        assert memo_json("probe", {"k": 1}, explode) == [1, 2, 3]
-
-    def test_stale_key_rebuilds(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BKS5_CACHE_DIR", str(tmp_path))
-        assert memo_json("probe", {"k": 1}, lambda: "old") == "old"
-        assert memo_json("probe", {"k": 2}, lambda: "new") == "new"
-        data = json.loads((tmp_path / "probe.json").read_text())
-        assert data["value"] == "new"
-
-    def test_corrupt_entry_rebuilt_in_place(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BKS5_CACHE_DIR", str(tmp_path))
-        (tmp_path / "probe.json").write_text("{ not json")
-        assert memo_json("probe", {"k": 1}, lambda: 42) == 42
-
-        def explode():
-            raise AssertionError("entry should have been repaired")
-
-        assert memo_json("probe", {"k": 1}, explode) == 42
+        monkeypatch.setattr(geometry, "classify_generator_systems", broken)
+        code, _ = run(tmp_path, "verify")
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("verify: 9/10 checks passed")
+        verdicts = [line.split() for line in lines[:-1]
+                    if not line.startswith(" ")]
+        assert len(verdicts) == 10
+        assert all(len(v) == 2 for v in verdicts)
+        assert {name for name, verdict in verdicts
+                if verdict == "FAIL"} == {"geometry"}
+        reason = lines[lines.index("%-22s FAIL" % "geometry") + 1]
+        assert reason == "    reason: ValueError: no generator split"
