@@ -3,9 +3,11 @@
 A basis is a clique of pairwise-orthogonal rays whose size equals the
 ambient dimension; such a clique is automatically a complete orthogonal
 basis because nonzero pairwise-orthogonal vectors are linearly
-independent.  Enumeration is exact: a Bron-Kerbosch search with pivoting,
-pruned by the fact that a clique that can no longer reach the target size
-contributes nothing.
+independent.  Enumeration is exact: a Bron-Kerbosch search with a Tomita
+pivot over P|X, pruned by a greedy-colouring bound (Tomita & Seki's MCQ):
+the candidates P are split greedily into independent sets, a clique takes
+at most one vertex from each, so a node whose P has fewer colour classes
+than the vertices still needed cannot reach the target size and is cut.
 """
 from __future__ import annotations
 
@@ -72,9 +74,17 @@ def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
         if r_count == target:
             found.append(tuple(r_vertices))
             return
-        if r_count + p.bit_count() < target:
-            return
-        if p == 0:
+        need = target - r_count
+        classes = 0
+        uncoloured = p
+        while uncoloured and classes < need:
+            classes += 1
+            q = uncoloured
+            while q:
+                bit = q & -q
+                uncoloured ^= bit
+                q &= ~(rows[bit.bit_length() - 1] | bit)
+        if classes < need:
             return
         px = p | x
         pivot = -1

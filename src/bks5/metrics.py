@@ -12,6 +12,7 @@ with explicit precision and rounding.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -93,7 +94,18 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
 
     The fast path scales every squared overlap by K = lcm(norms)^4 so all
     intermediate sums are integers; a single integer matrix product then
-    accumulates each pair's overlap total.
+    accumulates each pair's overlap total.  Pair totals are grouped as
+    integers and one Fraction is built per distinct total.
+
+    The int64 arithmetic cannot overflow once d*K fits in an int64.  Every
+    scaled entry is p_ab^2 * K <= K, since p_ab <= 1 and its denominator
+    (n_a n_b)^2 divides K; its factors gram_ab^4 and K / (n_a n_b)^2 are
+    at most K as well.  Every basis is validated as complete, so
+    sum_a p_ab = 1 for each ray b, and a partial sum over a of p_ab^2 * K
+    is at most K; summing that over the d rays b of the other basis
+    gives at most d*K.  All entries are non-negative, so no partial sum
+    exceeds its final total.  A table whose d*K does not fit raises
+    OverflowError instead of wrapping.
     """
     bases = [tuple(b) for b in bases]
     entries = table.entries_matrix()
@@ -103,6 +115,11 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     gram = entries @ entries.T
     norms = np.diag(gram).astype(np.int64)
     scale = lcm(*(int(x) for x in norms)) ** 4
+    limit = int(np.iinfo(np.int64).max)
+    if d * scale > limit:
+        raise OverflowError("pair totals are bounded by d*lcm(norms)^4 = %d, "
+                            "which exceeds the int64 maximum %d"
+                            % (d * scale, limit))
     denom = np.outer(norms, norms).astype(np.int64) ** 2
     if np.any(scale % denom):
         raise AssertionError("norm scaling is not integral")
@@ -112,14 +129,17 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
         for rid in b:
             selector[bi, rid - 1] = 1
     totals = selector @ scaled @ selector.T
-    counts = {}
-    for i in range(len(bases)):
-        if totals[i, i] != d * scale:
-            raise AssertionError("self-distance of basis %d is not zero" % i)
-        for j in range(i + 1, len(bases)):
-            val = Fraction(d * scale - int(totals[i, j]), (d - 1) * scale)
-            counts[val] = counts.get(val, 0) + 1
-    return DistanceSpectrum(basis_count=len(bases), pairs=counts)
+    wrong = np.flatnonzero(np.diagonal(totals) != d * scale)
+    if wrong.size:
+        raise AssertionError("self-distance of basis %d is not zero"
+                             % wrong[0])
+    by_total = Counter()
+    for i in range(len(bases) - 1):
+        values, counts = np.unique(totals[i, i + 1:], return_counts=True)
+        by_total.update(dict(zip(values.tolist(), counts.tolist())))
+    pairs = {Fraction(d * scale - t, (d - 1) * scale): c
+             for t, c in by_total.items()}
+    return DistanceSpectrum(basis_count=len(bases), pairs=pairs)
 
 
 def format_distance(value: Fraction) -> str:

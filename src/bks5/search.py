@@ -104,9 +104,11 @@ def search_small_proof(graph: OrthoGraph, bases, seed: int = 0,
         return ProofCandidate("budget_exhausted", (), (), 0, None, seed,
                               None, 0)
 
+    universe = set().union(*bases)
+
     def has_partition(indices) -> bool:
         sub = [bases[i] for i in indices]
-        return bool(find_partitions(sub, universe=_union(bases)))
+        return bool(find_partitions(sub, universe=universe))
 
     def colorable(indices) -> ColoringResult:
         inst = KSInstance.build(graph, [bases[i] for i in indices])
@@ -138,10 +140,3 @@ def search_small_proof(graph: OrthoGraph, bases, seed: int = 0,
                               seed, colorable(final), k + 1)
     return ProofCandidate("budget_exhausted", (), (), 0, None, seed, None,
                           budget)
-
-
-def _union(bases) -> set:
-    u = set()
-    for b in bases:
-        u.update(b)
-    return u

@@ -1,12 +1,13 @@
 """Tests for the orthogonality graph and maximal-basis enumeration."""
+import random
 from itertools import combinations
 
 import numpy as np
 
 from bks5 import catalog
-from bks5.bases import (bases_sha256, build_ortho_graph, contains_basis,
-                        enumerate_maximal_bases, write_bases_json,
-                        write_bases_text)
+from bks5.bases import (OrthoGraph, bases_sha256, build_ortho_graph,
+                        contains_basis, enumerate_maximal_bases,
+                        write_bases_json, write_bases_text)
 
 
 class TestOrthoGraph:
@@ -72,6 +73,46 @@ class TestEnumeration:
         covered = {pair for b in all_bases for pair in combinations(b, 2)}
         assert len(edges) == catalog.ORTHO_PAIR_COUNT
         assert covered == edges
+
+
+def _is_clique(rows, vertices) -> bool:
+    return all((rows[a] >> b) & 1 for a, b in combinations(vertices, 2))
+
+
+class TestEnumerationBruteForce:
+    """The pruned search against every ``dim``-subset of small graphs."""
+
+    def test_random_graphs_match_combinations(self):
+        """Seeded random graphs, n <= 14 and dim 2..5, with shuffled ids.
+
+        As in any orthogonality graph, no clique exceeds ``dim``: graphs
+        with a (dim+1)-clique are skipped.
+        """
+        empty = nonempty = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            dim = rng.randint(2, 5)
+            n = rng.randint(dim, 14)
+            density = rng.uniform(0.2, 0.9)
+            rows = [0] * n
+            for a, b in combinations(range(n), 2):
+                if rng.random() < density:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+            if any(_is_clique(rows, c)
+                   for c in combinations(range(n), dim + 1)):
+                continue
+            ids = tuple(rng.sample(range(1, 100), n))
+            graph = OrthoGraph(ids=ids, rows=tuple(rows), dim=dim)
+            expected = sorted(tuple(sorted(ids[v] for v in c))
+                              for c in combinations(range(n), dim)
+                              if _is_clique(rows, c))
+            assert enumerate_maximal_bases(graph) == expected, seed
+            if expected:
+                nonempty += 1
+            else:
+                empty += 1
+        assert empty >= 50 and nonempty >= 50
 
 
 class TestContainsBasis:

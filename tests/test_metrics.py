@@ -1,7 +1,9 @@
 """Tests for exact Hilbert-Schmidt distances, spectra, and histograms."""
+import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bks5 import catalog
@@ -97,9 +99,34 @@ class TestDistanceSpectrum:
         assert len(rows) == catalog.DISTINCT_DISTANCES_PROOF
         assert [v for v, _ in rows] == sorted(v for v, _ in rows)
 
+    def test_int64_bound_raises_instead_of_wrapping(self):
+        """d * lcm(norms)^4 just above the int64 maximum is refused."""
+        with pytest.raises(OverflowError, match="int64"):
+            distance_spectrum(_StubTable(216), [(1, 2), (3, 4)])
+
+    def test_int64_bound_just_below_is_exact(self):
+        table = _StubTable(215)
+        spectrum = distance_spectrum(table, [(1, 2), (3, 4)])
+        assert spectrum.pairs == {
+            hs_distance_squared(table, (1, 2), (3, 4)): 1}
+
     def test_mismatched_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="C\\(n, 2\\)"):
             DistanceSpectrum(basis_count=3, pairs={Fraction(1, 2): 1})
+
+
+class _StubTable:
+    """Two 2-dimensional bases: {(k, 1), (-1, k)} and the standard one."""
+
+    def __init__(self, k):
+        self._entries = np.array([[k, 1], [-1, k], [1, 0], [0, 1]],
+                                 dtype=np.int64)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def entries_matrix(self):
+        return self._entries
 
 
 class TestFormatDistance:
@@ -119,6 +146,18 @@ class TestEmitHistogram:
         assert len(lines) == 1 + catalog.DISTINCT_DISTANCES_PROOF
         assert lines[1] == "0.0000000000,0,1,21"
         assert lines[-1] == "0.9672041516,29,31,41"
+
+    @pytest.mark.parametrize("name, digest", [
+        ("spectrum21",
+         "5916fad0504fddb02f59078068b0e3ca9bde471e05c96f847378ff0ef30e008d"),
+        ("spectrum661",
+         "38232112c7dabb419c38d51f26082e198375333028e21983524eca52f1179fb0"),
+    ])
+    def test_csv_bytes_are_pinned(self, name, digest, request, tmp_path):
+        """Values and multiplicities, byte for byte, for both families."""
+        path = tmp_path / "histogram.csv"
+        emit_histogram(request.getfixturevalue(name), path, "csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_csv_is_deterministic(self, spectrum21, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
