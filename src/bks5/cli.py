@@ -51,6 +51,14 @@ def _select_bases(selection: str, graph) -> list:
     raise ValueError("unknown basis selection %r" % selection)
 
 
+def _census_ok(bases) -> bool:
+    """Count, digest, and every proof and block basis present."""
+    return (len(bases) == catalog.BASIS_COUNT
+            and bases_sha256(bases) == catalog.BASES_SHA256
+            and all(contains_basis(bases, b) for b in catalog.proof_bases())
+            and all(contains_basis(bases, b) for b in catalog.block_bases()))
+
+
 def cmd_rays(args) -> int:
     table = build_ray_table()
     out = _out_dir(args)
@@ -81,10 +89,7 @@ def cmd_bases(args) -> int:
     write_bases_text(bases, out / "bases.txt")
     write_bases_json(bases, out / "bases.json")
     digest = bases_sha256(bases)
-    ok = (len(bases) == catalog.BASIS_COUNT
-          and digest == catalog.BASES_SHA256
-          and all(contains_basis(bases, b) for b in catalog.proof_bases())
-          and all(contains_basis(bases, b) for b in catalog.block_bases()))
+    ok = _census_ok(bases)
     print("bases: %d enumerated, census %s (sha256 %s...)"
           % (len(bases), "verified" if ok else "MISMATCH", digest[:12]))
     return 0 if ok else 1
@@ -232,15 +237,6 @@ def cmd_verify(args) -> int:
                 and magic.sign_product == -1
                 and magic.parity_contradiction)
 
-    def maximal_bases() -> bool:
-        found = bases()
-        return (len(found) == catalog.BASIS_COUNT
-                and bases_sha256(found) == catalog.BASES_SHA256
-                and all(contains_basis(found, b)
-                        for b in catalog.proof_bases())
-                and all(contains_basis(found, b)
-                        for b in catalog.block_bases()))
-
     def non_colorable_and_cross_checked(selection) -> bool:
         inst = KSInstance.build(graph(), selection)
         result = check_colorable(inst)
@@ -284,7 +280,7 @@ def cmd_verify(args) -> int:
     checks = [
         ("ray_table", ray_table),
         ("magic_parity", magic_parity),
-        ("maximal_bases", maximal_bases),
+        ("maximal_bases", lambda: _census_ok(bases())),
         ("coloring_proof_bases",
          lambda: non_colorable_and_cross_checked(catalog.proof_bases())),
         ("coloring_all_bases",

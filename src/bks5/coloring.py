@@ -11,6 +11,7 @@ reports is re-checked by the independent verifier before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .bases import OrthoGraph
@@ -22,40 +23,56 @@ class InstanceError(Exception):
 
 @dataclass(frozen=True)
 class KSInstance:
-    """Rays, bases, and every orthogonal pair among the involved rays."""
+    """Bases as bitmasks over the orthogonality graph they were built from.
 
+    Bit i of every basis mask stands for ``graph.ids[i]``, so the solvers
+    read ``graph.rows`` as the orthogonality masks directly.  Bits in a row
+    for rays outside the instance are harmless: the solvers set a ray to 1
+    only from a basis mask, and read the rays set to 0 only through one.
+    """
+
+    graph: OrthoGraph
     ray_ids: tuple
     bases: tuple
-    ortho_pairs: tuple
+    basis_masks: tuple
 
     @classmethod
     def build(cls, graph: OrthoGraph, bases) -> "KSInstance":
         pos = {rid: i for i, rid in enumerate(graph.ids)}
         norm_bases = []
+        masks = []
         involved = set()
         for b in bases:
             ids = tuple(sorted(b))
+            mask = 0
             for rid in ids:
                 if rid not in pos:
                     raise InstanceError("basis ray %d is not in the graph"
                                         % rid)
-            norm_bases.append(ids)
-            involved.update(ids)
-        ray_ids = tuple(sorted(involved))
-        pairs = []
-        for a, b in combinations(ray_ids, 2):
-            if (graph.rows[pos[a]] >> pos[b]) & 1:
-                pairs.append((a, b))
-        inst = cls(ray_ids=ray_ids, bases=tuple(norm_bases),
-                   ortho_pairs=tuple(pairs))
-        pair_set = set(inst.ortho_pairs)
-        for ids in inst.bases:
-            for a, b in combinations(ids, 2):
-                if (a, b) not in pair_set:
+                mask |= 1 << pos[rid]
+            for i, rid in enumerate(ids):
+                bit = 1 << pos[rid]
+                # A repeated ray collapses into one bit but is still a ray
+                # that is not orthogonal to itself.
+                bad = (bit if ids[i + 1:i + 2] == (rid,)
+                       else mask & ~(graph.rows[pos[rid]] | bit))
+                if bad:
                     raise InstanceError(
                         "rays %d and %d share a basis but are not orthogonal"
-                        % (a, b))
-        return inst
+                        % (rid, graph.ids[(bad & -bad).bit_length() - 1]))
+            norm_bases.append(ids)
+            masks.append(mask)
+            involved.update(ids)
+        return cls(graph=graph, ray_ids=tuple(sorted(involved)),
+                   bases=tuple(norm_bases), basis_masks=tuple(masks))
+
+    @cached_property
+    def ortho_pairs(self) -> tuple:
+        """Every orthogonal pair among the involved rays, in id order."""
+        pos = {rid: i for i, rid in enumerate(self.graph.ids)}
+        rows = self.graph.rows
+        return tuple((a, b) for a, b in combinations(self.ray_ids, 2)
+                     if (rows[pos[a]] >> pos[b]) & 1)
 
 
 @dataclass(frozen=True)
@@ -74,28 +91,9 @@ class ColoringResult:
     propagations: int
 
 
-def _compile(inst: KSInstance):
-    """Bitmask view: ray positions, per-ray orthogonality masks, basis masks.
-
-    Bit i of every mask stands for ``inst.ray_ids[i]``.
-    """
-    pos = {rid: i for i, rid in enumerate(inst.ray_ids)}
-    adj = [0] * len(inst.ray_ids)
-    for a, b in inst.ortho_pairs:
-        adj[pos[a]] |= 1 << pos[b]
-        adj[pos[b]] |= 1 << pos[a]
-    basis_masks = []
-    for ids in inst.bases:
-        mask = 0
-        for rid in ids:
-            mask |= 1 << pos[rid]
-        basis_masks.append(mask)
-    return pos, adj, basis_masks
-
-
 def check_colorable(inst: KSInstance) -> ColoringResult:
     """Decide colorability by exhaustive propagation-driven search."""
-    pos, adj, basis_masks = _compile(inst)
+    adj, basis_masks = inst.graph.rows, inst.basis_masks
     stats = {"nodes": 0, "propagations": 0}
 
     def propagate(ones: int, zeros: int):
@@ -147,6 +145,7 @@ def check_colorable(inst: KSInstance) -> ColoringResult:
         return ColoringResult("non_colorable", None, stats["nodes"],
                               stats["propagations"])
     ones, _ = outcome
+    pos = {rid: i for i, rid in enumerate(inst.graph.ids)}
     witness = {rid: (ones >> pos[rid]) & 1 for rid in inst.ray_ids}
     if not verify_coloring(inst, witness):
         raise AssertionError("solver produced a witness the verifier rejects")
@@ -156,7 +155,7 @@ def check_colorable(inst: KSInstance) -> ColoringResult:
 
 def count_colorings(inst: KSInstance) -> int:
     """Exhaustively count admissible colorings (used as a cross-check)."""
-    _, adj, basis_masks = _compile(inst)
+    adj, basis_masks = inst.graph.rows, inst.basis_masks
 
     def count(idx: int, ones: int, zeros: int) -> int:
         while idx < len(basis_masks) and basis_masks[idx] & ones:

@@ -17,6 +17,7 @@ from math import gcd
 import numpy as np
 
 from . import catalog
+from .geometry import GF2Subspace
 from .pauli import (CommutingSet, PauliOp, apply_pauli, commutes, is_symmetric,
                     make_pauli, pauli_to_matrix)
 
@@ -98,7 +99,8 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
     for op in ops:
         if not is_symmetric(op):
             raise ValueError("operator %s is not symmetric" % op)
-    if _gf2_rank([(op.x_bits << n) | op.z_bits for op in ops]) != n:
+    points = [(op.x_bits << n) | op.z_bits for op in ops]
+    if GF2Subspace.span_of(points, 2 * n).rank != n:
         raise ValueError("operators of set %s are not independent" % cset.label)
     mats = [pauli_to_matrix(op) for op in ops]
     eye = np.eye(dim, dtype=np.int64)
@@ -120,22 +122,6 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
                     "extracted ray is not an eigenvector of %s" % op)
         out.append(ray)
     return out
-
-
-def _gf2_rank(vectors) -> int:
-    rows = list(vectors)
-    rank = 0
-    for bit in range(max(rows).bit_length() - 1, -1, -1) if rows else ():
-        pivot = next((i for i in range(rank, len(rows)) if (rows[i] >> bit) & 1),
-                     None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] >> bit) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 """Tests for KS instances, the coloring solver, and CNF export."""
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -38,8 +39,13 @@ class TestInstanceConstruction:
 
     def test_non_orthogonal_basis_rejected(self, ortho_graph):
         bad = tuple(range(1, 32)) + (33,)
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match="rays 1 and 33 "):
             KSInstance.build(ortho_graph, [bad])
+
+    def test_repeated_ray_rejected(self, ortho_graph):
+        """A repeat is not orthogonal to itself, though it is one bit."""
+        with pytest.raises(InstanceError, match="rays 1 and 1 "):
+            KSInstance.build(ortho_graph, [(1, 1, 2, 3)])
 
 
 class TestCheckColorable:
@@ -80,6 +86,42 @@ class TestCheckColorable:
         inst = KSInstance.build(ortho_graph, proof_bases[:3])
         assert (count_colorings(inst) > 0) == \
             (check_colorable(inst).status == "colorable")
+
+
+class TestPinnedOutputs:
+    """Solver counters, witnesses and CNF bytes, pinned before any rewrite."""
+
+    CNF_SHA256_AND_RESULT = {
+        "proof": ("57e3586a5fc8540328919f6d3df8ee3cfed70a85c8b24c4dfc93adb0f154961b",
+                  ("non_colorable", 737, 0)),
+        "blocks": ("abf64e00c81b5d22ce710ecc4b1d51535416c470c463254321252304dfee05b4",
+                   ("non_colorable", 1825, 0)),
+        "all": ("60bd93c2300c571900cb23498beed81e572ae37e5d7deec294309d9582e11fcf",
+                ("non_colorable", 897, 608)),
+    }
+
+    # Rays valued 1 in the witness for the first k proof bases.
+    WITNESS_ONES = {1: [65], 2: [65, 145], 3: [65, 145], 4: [4, 65, 145],
+                    5: [4, 33, 65, 145], 6: [4, 33, 65, 145]}
+
+    @pytest.mark.parametrize("selection", ["proof", "blocks", "all"])
+    def test_cnf_bytes_and_counters(self, selection, ortho_graph,
+                                    proof_bases, block_bases, all_bases):
+        bases = {"proof": proof_bases, "blocks": block_bases,
+                 "all": all_bases}[selection]
+        inst = KSInstance.build(ortho_graph, bases)
+        digest, counters = self.CNF_SHA256_AND_RESULT[selection]
+        assert hashlib.sha256(export_cnf(inst).encode()).hexdigest() == digest
+        result = check_colorable(inst)
+        assert (result.status, result.nodes, result.propagations) == counters
+
+    @pytest.mark.parametrize("take", sorted(WITNESS_ONES))
+    def test_witness(self, take, ortho_graph, proof_bases):
+        inst = KSInstance.build(ortho_graph, proof_bases[:take])
+        witness = check_colorable(inst).witness
+        assert sorted(witness) == list(inst.ray_ids)
+        assert sorted(r for r, v in witness.items() if v) == \
+            self.WITNESS_ONES[take]
 
 
 class TestVerifyColoring:

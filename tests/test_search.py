@@ -52,6 +52,18 @@ class TestSearchSmallProof:
         assert candidate.size == golden["size"]
         assert list(candidate.basis_indices) == golden["bases"]
 
+    @pytest.mark.parametrize("seed, max_size, indices, nodes", [
+        (1, 20, [30, 89, 246, 295, 439], 737),
+        (2, 13, [48, 78, 248, 293, 657], 1713),
+    ])
+    def test_pinned_seeds(self, seed, max_size, indices, nodes, ortho_graph,
+                          all_bases, all_partitions):
+        candidate = search_small_proof(ortho_graph, all_bases, seed=seed,
+                                       max_size=max_size,
+                                       partitions=all_partitions)
+        assert list(candidate.basis_indices) == indices
+        assert candidate.coloring.nodes == nodes
+
     def test_result_is_verified_non_colorable_with_partition(
             self, ortho_graph, all_bases, all_partitions):
         candidate = search_small_proof(ortho_graph, all_bases, seed=0,
