@@ -110,6 +110,10 @@ def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
         return
 
     extend(0, [], full, 0)
+    # ``extend`` reaches ``found`` and itself through its closure cells;
+    # clearing its own cell frees them on return, not at the next
+    # cyclic collection.
+    del extend
     bases = sorted(tuple(sorted(graph.ids[v] for v in clique))
                    for clique in found)
     return bases

@@ -141,6 +141,7 @@ def check_colorable(inst: KSInstance) -> ColoringResult:
         return None
 
     outcome = search(0, 0)
+    del search  # break the recursive closure's self-reference
     if outcome is None:
         return ColoringResult("non_colorable", None, stats["nodes"],
                               stats["propagations"])
@@ -170,7 +171,9 @@ def count_colorings(inst: KSInstance) -> int:
             total += count(idx + 1, ones | bit, zeros | adj[bit.bit_length() - 1])
         return total
 
-    return count(0, 0, 0)
+    total = count(0, 0, 0)
+    del count  # break the recursive closure's self-reference
+    return total
 
 
 def verify_coloring(inst: KSInstance, assignment: dict) -> bool:

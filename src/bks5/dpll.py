@@ -139,6 +139,11 @@ def solve(nvars: int, clauses) -> DpllResult:
         state["conflict"] = False
         pending.clear()
 
+    for lit in root_units:
+        enqueue(lit)
+        if state["conflict"]:
+            return DpllResult(False, None, 0, state["propagations"])
+
     score = {}
     for cl in clauses:
         for lit in cl:
@@ -161,12 +166,11 @@ def solve(nvars: int, clauses) -> DpllResult:
             undo(mark)
         return False
 
-    for lit in root_units:
-        enqueue(lit)
-        if state["conflict"]:
-            return DpllResult(False, None, 0, state["propagations"])
-
-    if search(0):
+    satisfiable = search(0)
+    # ``search`` holds itself through its closure cell; clearing the cell
+    # frees the clause index now instead of at the next cyclic collection.
+    del search
+    if satisfiable:
         model = {v: assign[v] > 0 for v in range(1, nvars + 1)}
         for cl in clauses:
             if not any(model[abs(lit)] == (lit > 0) for lit in cl):

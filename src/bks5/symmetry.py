@@ -5,16 +5,18 @@ ray, and each edge carries the number of shared rays as a weight.  The
 automorphism search combines iterated color refinement with
 forward-checked backtracking over candidate bitmasks, which is exact and
 fast at this scale.  The group structure summary (largest normal
-elementary-abelian 2-subgroup and the quotient) is computed directly from
-the multiplication table: a subgroup generated by a union of conjugacy
-classes of commuting involutions is automatically normal and elementary
-abelian, so the maximum is found by a clique search over involution
-classes.
+elementary-abelian 2-subgroup and the quotient) is computed by array
+indexing into a numpy multiplication table: a subgroup generated by a
+union of conjugacy classes of commuting involutions is automatically
+normal and elementary abelian, so the maximum is found by a clique search
+over involution classes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,7 @@ def _all_automorphisms(g: OverlapGraph) -> list:
             del image[v]
 
     extend(0, {}, base_cand, 0)
+    del extend  # break the recursive closure's self-reference
     for perm in found:
         _check_automorphism(g, perm)
     return sorted(found)
@@ -146,104 +149,119 @@ class AutGroupReport:
     closure_verified: bool
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One np.void scalar per row, so rows sort and search as wholes.
+
+    The empty graph's one permutation has no entries; np.void cannot be
+    zero bytes wide, so its rows get a one-byte key.
+    """
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows), dtype="V1")
+    rows = np.ascontiguousarray(rows)
+    width = rows.dtype.itemsize * rows.shape[1]
+    return rows.view(np.dtype((np.void, width))).ravel()
+
+
+def _multiplication_table(elements, n: int) -> np.ndarray:
+    """``mult[a, b]`` is the index of the composition p_a(p_b(i)).
+
+    Built one row at a time, so no (size, size, n) tensor is ever held.
+    """
+    size = len(elements)
+    # The smallest unsigned type that holds n - 1; numpy raises rather
+    # than wraps on an element that does not fit.
+    E = np.array(elements, dtype=np.min_scalar_type(max(n - 1, 0)))
+    keys = _row_keys(E)
+    sorter = np.argsort(keys)
+    mult = np.empty((size, size), dtype=np.min_scalar_type(size - 1))
+    for a in range(size):
+        products = _row_keys(E[a][E])
+        pos = np.minimum(np.searchsorted(keys, products, sorter=sorter),
+                         size - 1)
+        mult[a] = sorter[pos]
+        if not (keys[mult[a]] == products).all():
+            raise AssertionError(
+                "automorphisms are not closed under composition")
+    return mult
+
+
 def automorphism_group(g: OverlapGraph) -> AutGroupReport:
     elements = _all_automorphisms(g)
     n = g.n
-    index = {p: i for i, p in enumerate(elements)}
     identity = tuple(range(n))
-    if identity not in index:
+    if identity not in elements:
         raise AssertionError("identity is not an automorphism")
-
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(n))
-
-    def inverse(p):
-        inv = [0] * n
-        for i, pi in enumerate(p):
-            inv[pi] = i
-        return tuple(inv)
-
+    id_idx = elements.index(identity)
     size = len(elements)
-    mult = [[index[compose(elements[a], elements[b])] for b in range(size)]
-            for a in range(size)]
-    inv = [index[inverse(p)] for p in elements]
-    id_idx = index[identity]
+    mult = _multiplication_table(elements, n)
+    inv = np.argmax(mult == id_idx, axis=1)
 
-    def element_order(a: int) -> int:
-        k, cur = 1, a
-        while cur != id_idx:
-            cur = mult[cur][a]
-            k += 1
-        return k
-
-    orders = [element_order(a) for a in range(size)]
+    orders = np.zeros(size, dtype=np.intp)
+    power, k = np.arange(size), 1
+    while not orders.all():
+        orders[(power == id_idx) & (orders == 0)] = k
+        power, k = mult[power, np.arange(size)], k + 1
     census = {}
-    for o in orders:
+    for o in orders.tolist():
         census[o] = census.get(o, 0) + 1
 
-    seen = set()
-    classes = []
-    for a in range(size):
-        if a in seen:
-            continue
-        cls = {mult[mult[gidx][a]][inv[gidx]] for gidx in range(size)}
-        seen |= cls
-        classes.append(frozenset(cls))
+    # conj[h, a] = h a h^-1; a class is labelled by its smallest element,
+    # so labels in increasing order list the classes in the order a scan
+    # over the elements first meets them.
+    conj = mult[mult, inv[:, None]]
+    class_of = conj.min(axis=0)
+    reps = np.unique(class_of)
 
-    def closure(seed) -> frozenset:
-        members = set(seed) | {id_idx}
-        frontier = list(members)
-        while frontier:
-            a = frontier.pop()
-            for b in list(members):
-                for c in (mult[a][b], mult[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        frontier.append(c)
-        return frozenset(members)
+    def closure(seed: np.ndarray) -> np.ndarray:
+        members = seed.copy()
+        members[id_idx] = True
+        while True:
+            idx = np.flatnonzero(members)
+            grown = members.copy()
+            grown[mult[np.ix_(idx, idx)]] = True
+            if grown.sum() == len(idx):
+                return members
+            members = grown
 
-    inv_classes = [cls for cls in classes
-                   if orders[next(iter(cls))] == 2]
-    commute = {}
-    for ci, cls_i in enumerate(inv_classes):
-        for cj in range(ci, len(inv_classes)):
-            cls_j = inv_classes[cj]
-            ok = all(mult[a][b] == mult[b][a]
-                     for a in cls_i for b in cls_j)
-            commute[(ci, cj)] = commute[(cj, ci)] = ok
+    inv_reps = reps[orders[reps] == 2]
+    in_class = class_of[None, :] == inv_reps[:, None]
+    # Boolean matmul: entry (i, j) is set when some pair across classes
+    # i and j fails to commute.
+    commute = ~(in_class @ (mult != mult.T) @ in_class.T)
 
     # Any pairwise-commuting union of involution classes generates an
     # elementary-abelian normal subgroup, and closure is monotone, so the
-    # maximum is attained at a maximal compatible union.
-    usable = [ci for ci in range(len(inv_classes)) if commute[(ci, ci)]]
-    ea_members = closure(set())
+    # maximum is attained at a maximal compatible union.  Cliques come in
+    # sorted order and only a strictly larger subgroup replaces the best,
+    # so the first of equal-size maxima is kept.
+    usable = [ci for ci in range(len(inv_reps)) if commute[ci, ci]]
+    ea_members = closure(np.zeros(size, dtype=bool))
     for clique in _maximal_class_cliques(usable, commute):
-        seed = set()
-        for ci in clique:
-            seed |= inv_classes[ci]
-        sub = closure(seed)
-        if all(orders[a] <= 2 for a in sub) and len(sub) > len(ea_members):
+        sub = closure(in_class[list(clique)].any(axis=0))
+        if (orders[sub] <= 2).all() and sub.sum() > ea_members.sum():
             ea_members = sub
-    best_ea = len(ea_members)
+    best_ea = int(ea_members.sum())
     quotient_order = size // best_ea
-    nonabelian = any(
-        mult[mult[a][b]][mult[inv[a]][inv[b]]] not in ea_members
-        for a in range(size) for b in range(a + 1, size))
-    for gidx in range(size):
-        conj = {mult[mult[gidx][a]][inv[gidx]] for a in ea_members}
-        if conj != ea_members:
-            raise AssertionError("selected subgroup is not normal")
+    # (ab)(a^-1 b^-1) for every ordered pair: the pair (b, a) gives the
+    # inverse and (a, a) the identity, so this tests every a < b once.
+    commutators = mult[mult, mult[inv[:, None], inv[None, :]]]
+    nonabelian = not ea_members[commutators].all()
+    if not ea_members[conj[:, ea_members]].all():
+        raise AssertionError("selected subgroup is not normal")
 
     gens = []
-    span = frozenset({id_idx})
+    span = closure(np.zeros(size, dtype=bool))
     for a in range(size):
-        if a in span:
+        if span[a]:
             continue
         gens.append(a)
-        span = closure(set(gens))
-        if len(span) == size:
+        span[a] = True
+        span = closure(span)
+        if span.all():
             break
-    closure_ok = len(closure(set(gens))) == size
+    gen_mask = np.zeros(size, dtype=bool)
+    gen_mask[gens] = True
+    closure_ok = bool(closure(gen_mask).all())
 
     orbit_sets = []
     assigned = set()
@@ -262,7 +280,7 @@ def automorphism_group(g: OverlapGraph) -> AutGroupReport:
         orbits=tuple(orbit_sets),
         weighted_order=weighted,
         element_order_census=census,
-        conjugacy_class_count=len(classes),
+        conjugacy_class_count=len(reps),
         normal_ea_order=best_ea,
         quotient_order=quotient_order,
         quotient_nonabelian=nonabelian,
@@ -270,19 +288,36 @@ def automorphism_group(g: OverlapGraph) -> AutGroupReport:
     )
 
 
-def _maximal_class_cliques(vertices, commute):
-    """Maximal pairwise-compatible subsets of involution classes."""
+def _maximal_class_cliques(vertices, commute) -> list:
+    """Maximal pairwise-compatible subsets of ``vertices``, sorted.
+
+    ``commute[u, v]`` is the compatibility relation.  Bron-Kerbosch with a
+    Tomita pivot over P|X, on bitmasks of positions in ``vertices``, with
+    an explicit stack; each clique is a sorted tuple of vertices.
+    """
+    vertices = list(vertices)
+    nbrs = [sum(1 << j for j, u in enumerate(vertices)
+                if j != i and commute[v, u])
+            for i, v in enumerate(vertices)]
     cliques = []
+    stack = [((), (1 << len(vertices)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
+            cliques.append(tuple(sorted(vertices[i] for i in r)))
+            continue
+        pivot = max(_bits(p | x), key=lambda u: (p & nbrs[u]).bit_count())
+        for v in _bits(p & ~nbrs[pivot]):
+            stack.append((r + (v,), p & nbrs[v], x & nbrs[v]))
+            p &= ~(1 << v)
+            x |= 1 << v
+    return sorted(cliques)
 
-    def extend(r: list, p: list, x: list):
-        if not p and not x:
-            cliques.append(tuple(r))
-            return
-        for i, v in enumerate(p):
-            extend(r + [v],
-                   [u for u in p[i + 1:] if commute[(u, v)]],
-                   [u for u in x if commute[(u, v)]])
-            x = x + [v]
 
-    extend([], list(vertices), [])
-    return cliques
+def _bits(mask: int) -> list:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out

@@ -1,8 +1,15 @@
 """Tests for the basis-overlap graph and its automorphism group."""
+import hashlib
+import random
+from itertools import combinations
+
+import numpy as np
 import pytest
 
-from bks5 import catalog
-from bks5.symmetry import (automorphism_group, build_overlap_graph)
+from bks5 import catalog, symmetry
+from bks5.cli import main
+from bks5.symmetry import (_maximal_class_cliques, automorphism_group,
+                           build_overlap_graph)
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +115,127 @@ class TestSmallGraphs:
         graph = build_overlap_graph(bases)
         report = automorphism_group(graph)
         assert report.order == 6
+
+    def test_empty_graph_has_trivial_group(self):
+        report = automorphism_group(build_overlap_graph({}))
+        assert (report.order, report.generators, report.orbits,
+                report.conjugacy_class_count, report.closure_verified) == \
+            (1, (), (), 1, True)
+
+    # (order, normal_ea_order, quotient_order, quotient_nonabelian): the
+    # cycles give the dihedral groups D4 and D5, the complete graphs S4 and
+    # S5; S4's largest normal 2-subgroup is the Klein four-group with
+    # quotient S3, while D5 and S5 have none.
+    @pytest.mark.parametrize("bases, structure", [
+        ({1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (4, 1)}, (8, 4, 2, False)),
+        ({1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (4, 5), 5: (5, 1)},
+         (10, 1, 10, True)),
+        ({k: (0, k) for k in range(1, 5)}, (24, 4, 6, True)),
+        ({k: (0, k) for k in range(1, 6)}, (120, 1, 120, True)),
+    ], ids=["C4", "C5", "K4", "K5"])
+    def test_group_structure(self, bases, structure):
+        report = automorphism_group(build_overlap_graph(bases))
+        assert (report.order, report.normal_ea_order, report.quotient_order,
+                report.quotient_nonabelian) == structure
+        assert report.closure_verified is True
+
+    def test_non_closed_elements_rejected(self, monkeypatch):
+        real = symmetry._all_automorphisms
+        monkeypatch.setattr(symmetry, "_all_automorphisms",
+                            lambda g: real(g)[:-1])
+        graph = build_overlap_graph({k: (0, k) for k in range(1, 5)})
+        with pytest.raises(AssertionError,
+                           match="not closed under composition"):
+            automorphism_group(graph)
+
+
+class TestMaximalClassCliques:
+    """The clique search against brute force over all vertex subsets."""
+
+    @staticmethod
+    def brute_force(vertices, commute):
+        def compatible(subset):
+            return all(commute[u, v] for u, v in combinations(subset, 2))
+
+        cliques = [s for k in range(len(vertices) + 1)
+                   for s in combinations(vertices, k) if compatible(s)]
+        return sorted(s for s in cliques
+                      if not any(compatible(s + (v,)) for v in vertices
+                                 if v not in s))
+
+    def test_random_relations_match_combinations(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(0, 10)
+            density = rng.choice([0.2, 0.5, 0.8])
+            commute = np.zeros((n, n), dtype=bool)
+            for u, v in combinations(range(n), 2):
+                commute[u, v] = commute[v, u] = rng.random() < density
+            vertices = sorted(rng.sample(range(n), rng.randint(0, n)))
+            cliques = _maximal_class_cliques(vertices, commute)
+            assert cliques == sorted(cliques)
+            assert cliques == self.brute_force(vertices, commute)
+
+
+class TestPinnedOutputs:
+    """The proof's group report and artifact, pinned before any rewrite."""
+
+    SYMMETRY_JSON_SHA256 = \
+        "728ed16c046803fbe650feb104532207f9b37c4888ccfc85a57826ba26fe32e0"
+
+    GENERATORS = (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 13, 14, 15, 12, 17, 18,
+         19, 20),
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18, 12, 13, 14, 15, 16, 17, 11,
+         19, 20),
+        (0, 1, 2, 3, 4, 11, 6, 7, 8, 9, 10, 5, 12, 13, 14, 15, 16, 17, 18,
+         19, 20),
+        (0, 1, 2, 3, 7, 5, 6, 4, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
+         19, 20),
+        (0, 1, 2, 20, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
+         19, 3),
+        (0, 5, 2, 3, 4, 1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
+         19, 20),
+    )
+
+    ORBITS = ((1,), (2, 6, 12, 19), (3,), (4, 21), (5, 8), (7,), (9,),
+              (10,), (11,), (13, 17), (14,), (15,), (16,), (18,), (20,))
+
+    # Element orders in order of first occurrence among the sorted elements.
+    CENSUS = [(1, 1), (2, 79), (3, 8), (6, 56), (4, 48)]
+
+    @staticmethod
+    def invariants(report):
+        return (report.order, report.weighted_order,
+                list(report.element_order_census.items()),
+                report.conjugacy_class_count, report.normal_ea_order,
+                report.quotient_order, report.quotient_nonabelian,
+                report.closure_verified)
+
+    def test_symmetry_json_bytes(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "symmetry"]) == 0
+        data = (tmp_path / "symmetry.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.SYMMETRY_JSON_SHA256
+
+    def test_full_report(self, report):
+        assert report.generators == self.GENERATORS
+        assert report.orbits == self.ORBITS
+        assert self.invariants(report) == \
+            (192, 2, self.CENSUS, 40, 32, 6, True, True)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shuffled_labels(self, seed, report):
+        """Shuffled as the benchmark's proof re-certification shuffles."""
+        rng = random.Random(seed)
+        keys = sorted(catalog.PROOF_BASES)
+        order = keys[:]
+        rng.shuffle(order)
+        labels = keys[:]
+        rng.shuffle(labels)
+        proof = [catalog.PROOF_BASES[k] for k in order]
+        shuffled = automorphism_group(
+            build_overlap_graph(dict(zip(labels, proof))))
+        assert self.invariants(shuffled) == self.invariants(report)
+        back = dict(zip(labels, order))
+        assert sorted(tuple(sorted(back[label] for label in orbit))
+                      for orbit in shuffled.orbits) == sorted(self.ORBITS)
