@@ -38,9 +38,6 @@ class OrthoGraph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def degree(self, pos: int) -> int:
-        return self.rows[pos].bit_count()
-
 
 def build_ortho_graph(table: RayTable) -> OrthoGraph:
     """Exact integer inner products decide every edge."""

@@ -1,10 +1,14 @@
 """Small exact SAT solver for the exported DIMACS instances.
 
 This is an independent cross-check for the structured coloring search: it
-knows nothing about rays or bases, only clauses.  Binary clauses become
-implication lists; longer clauses keep satisfied/non-falsified counters
-that are updated inside ``enqueue`` so they always agree with the current
-assignment.  The search is plain DPLL with a static branching order; any
+knows nothing about rays or bases, only clauses.  Every per-literal table
+is a plain list of 2n + 1 slots indexed by the literal itself, a negative
+literal counting from the end: the value of each literal, the implication
+list of each literal (binary clauses) and the long clauses each literal
+occurs in.  Longer clauses keep satisfied/non-falsified counters that are
+updated whenever a literal is assigned, so they always agree with the
+current assignment; the propagation loop assigns implied literals in
+place.  The search is plain DPLL with a static branching order; any
 claimed model is verified against the original clause list before being
 returned.
 """
@@ -14,39 +18,56 @@ from dataclasses import dataclass
 
 
 def parse_dimacs(text: str):
-    """Return (variable count, clause list) from DIMACS CNF text."""
+    """Return (variable count, clause list) from DIMACS CNF text.
+
+    Exactly one problem line must come before the first clause.  Every
+    error names its 1-based line where it has one: a clause before the
+    problem line, a second problem line, a token that is not an integer
+    and a literal outside 1..nvars.
+    """
     nvars = None
     nclauses = None
     clauses = []
     cur = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if nvars is not None:
+                raise ValueError("line %d: second problem line %r"
+                                 % (number, raw))
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError("malformed problem line: %r" % raw)
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not (parts[2].isdecimal() and parts[3].isdecimal())):
+                raise ValueError("line %d: malformed problem line: %r"
+                                 % (number, raw))
             nvars, nclauses = int(parts[2]), int(parts[3])
             continue
+        if nvars is None:
+            raise ValueError("line %d: clause before the problem line"
+                             % number)
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ValueError("line %d: %r is not an integer literal"
+                                 % (number, tok)) from None
             if lit == 0:
                 clauses.append(tuple(cur))
                 cur = []
-            else:
+            elif -nvars <= lit <= nvars:
                 cur.append(lit)
+            else:
+                raise ValueError("line %d: literal %d out of range 1..%d"
+                                 % (number, lit, nvars))
     if cur:
         raise ValueError("unterminated final clause")
     if nvars is None:
         raise ValueError("missing problem line")
-    if nclauses is not None and len(clauses) != nclauses:
+    if len(clauses) != nclauses:
         raise ValueError("problem line promises %d clauses, found %d"
                          % (nclauses, len(clauses)))
-    for cl in clauses:
-        for lit in cl:
-            if not 1 <= abs(lit) <= nvars:
-                raise ValueError("literal %d out of range" % lit)
     return nvars, clauses
 
 
@@ -60,10 +81,19 @@ class DpllResult:
 
 def solve(nvars: int, clauses) -> DpllResult:
     """Exhaustive DPLL decision; models are independently re-verified."""
-    imp = {}
+    size = 2 * nvars + 1  # literal-indexed tables, see the module docstring
+    imp = [[] for _ in range(size)]
     long_clauses = []
     root_units = []
     for cl in clauses:
+        if len(cl) == 2:
+            a, b = cl
+            if a == b:
+                root_units.append(a)
+            elif a != -b:
+                imp[-a].append(b)
+                imp[-b].append(a)
+            continue
         lits = tuple(dict.fromkeys(cl))
         if any(-lit in lits for lit in lits):
             continue
@@ -73,95 +103,116 @@ def solve(nvars: int, clauses) -> DpllResult:
             root_units.append(lits[0])
         elif len(lits) == 2:
             a, b = lits
-            imp.setdefault(-a, []).append(b)
-            imp.setdefault(-b, []).append(a)
+            imp[-a].append(b)
+            imp[-b].append(a)
         else:
             long_clauses.append(lits)
 
-    occ = {}
+    occ = [[] for _ in range(size)]
     for ci, lits in enumerate(long_clauses):
         for lit in lits:
-            occ.setdefault(lit, []).append(ci)
+            occ[lit].append(ci)
     nf = [len(lits) for lits in long_clauses]
     satc = [0] * len(long_clauses)
-    assign = [0] * (nvars + 1)
+    value = [0] * size  # +1 true, -1 false, 0 unassigned
     trail = []
     pending = []
-    state = {"conflict": False, "nodes": 0, "propagations": 0}
+    nodes = propagations = 0
 
-    def enqueue(lit: int) -> None:
-        var = abs(lit)
-        val = 1 if lit > 0 else -1
-        if assign[var]:
-            if assign[var] != val:
-                state["conflict"] = True
-            return
-        assign[var] = val
+    def assign(lit: int) -> bool:
+        """Make the unassigned ``lit`` true; False if a clause is falsified."""
+        value[lit] = 1
+        value[-lit] = -1
         trail.append(lit)
-        for ci in occ.get(lit, ()):
+        for ci in occ[lit]:
             satc[ci] += 1
-        for ci in occ.get(-lit, ()):
-            nf[ci] -= 1
-            if satc[ci] == 0:
-                if nf[ci] == 0:
-                    state["conflict"] = True
-                elif nf[ci] == 1:
+        ok = True
+        for ci in occ[-lit]:
+            left = nf[ci] - 1
+            nf[ci] = left
+            if left < 2 and not satc[ci]:
+                if left:
                     pending.append(ci)
+                else:
+                    ok = False
+        return ok
 
     def drain(head: int) -> int:
-        """Process trail implications and pending long-clause units."""
-        while not state["conflict"] and (head < len(trail) or pending):
+        """Process trail implications and pending long-clause units.
+
+        Returns the new trail head, or -1 on a conflict.
+        """
+        nonlocal propagations
+        while True:
             if head < len(trail):
                 lit = trail[head]
                 head += 1
-                for forced in imp.get(lit, ()):
-                    state["propagations"] += 1
-                    enqueue(forced)
-                    if state["conflict"]:
-                        return head
-            else:
+                for forced in imp[lit]:
+                    propagations += 1
+                    v = value[forced]
+                    if v:
+                        if v < 0:
+                            return -1
+                        continue
+                    value[forced] = 1
+                    value[-forced] = -1
+                    trail.append(forced)
+                    for ci in occ[forced]:
+                        satc[ci] += 1
+                    ok = True
+                    for ci in occ[-forced]:
+                        left = nf[ci] - 1
+                        nf[ci] = left
+                        if left < 2 and not satc[ci]:
+                            if left:
+                                pending.append(ci)
+                            else:
+                                ok = False
+                    if not ok:
+                        return -1
+            elif pending:
                 ci = pending.pop()
-                if satc[ci] == 0 and nf[ci] == 1:
+                if not satc[ci] and nf[ci] == 1:
                     unit = next(lit for lit in long_clauses[ci]
-                                if assign[abs(lit)] == 0)
-                    state["propagations"] += 1
-                    enqueue(unit)
-        return head
+                                if not value[lit])
+                    propagations += 1
+                    if not assign(unit):
+                        return -1
+            else:
+                return head
 
     def undo(mark: int) -> None:
-        while len(trail) > mark:
-            lit = trail.pop()
-            assign[abs(lit)] = 0
-            for ci in occ.get(lit, ()):
+        for lit in trail[mark:]:
+            value[lit] = value[-lit] = 0
+            for ci in occ[lit]:
                 satc[ci] -= 1
-            for ci in occ.get(-lit, ()):
+            for ci in occ[-lit]:
                 nf[ci] += 1
-        state["conflict"] = False
+        del trail[mark:]
         pending.clear()
 
     for lit in root_units:
-        enqueue(lit)
-        if state["conflict"]:
-            return DpllResult(False, None, 0, state["propagations"])
+        if value[lit] < 0 or (not value[lit] and not assign(lit)):
+            return DpllResult(False, None, 0, 0)
 
-    score = {}
+    score = [0] * size
     for cl in clauses:
         for lit in cl:
-            score[abs(lit)] = score.get(abs(lit), 0) + 1
-    order = sorted(range(1, nvars + 1), key=lambda v: (-score.get(v, 0), v))
+            score[lit] += 1
+    order = sorted(range(1, nvars + 1), key=lambda v: -score[v] - score[-v])
 
     def search(head: int) -> bool:
-        state["nodes"] += 1
+        nonlocal nodes
+        nodes += 1
         head = drain(head)
-        if state["conflict"]:
+        if head < 0:
             return False
-        var = next((v for v in order if assign[v] == 0), None)
+        var = next((v for v in order if not value[v]), None)
         if var is None:
             return True
         mark = len(trail)
-        for val in (var, -var):
-            enqueue(val)
-            if not state["conflict"] and search(len(trail) - 1):
+        for lit in (var, -var):
+            if assign(lit) and search(mark):
                 return True
             undo(mark)
         return False
@@ -171,9 +222,9 @@ def solve(nvars: int, clauses) -> DpllResult:
     # frees the clause index now instead of at the next cyclic collection.
     del search
     if satisfiable:
-        model = {v: assign[v] > 0 for v in range(1, nvars + 1)}
+        model = {v: value[v] > 0 for v in range(1, nvars + 1)}
         for cl in clauses:
             if not any(model[abs(lit)] == (lit > 0) for lit in cl):
                 raise AssertionError("solver returned a non-model")
-        return DpllResult(True, model, state["nodes"], state["propagations"])
-    return DpllResult(False, None, state["nodes"], state["propagations"])
+        return DpllResult(True, model, nodes, propagations)
+    return DpllResult(False, None, nodes, propagations)

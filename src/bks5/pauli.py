@@ -8,7 +8,7 @@ significant tensor factor, so basis index j corresponds to the bit string
 
 All products, commutators and matrix realizations are exact over the
 integers; the 2^N x 2^N matrix form is used only as an oracle in tests and
-for eigenray extraction.
+for eigenvector verification.
 """
 from __future__ import annotations
 

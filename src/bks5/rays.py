@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog
 from .geometry import GF2Subspace
-from .pauli import (CommutingSet, PauliOp, apply_pauli, commutes, is_symmetric,
+from .pauli import (CommutingSet, PauliOp, apply_pauli, is_symmetric,
                     make_pauli, pauli_to_matrix)
 
 
@@ -61,10 +61,6 @@ class Ray:
     def support(self) -> int:
         return sum(1 for e in self.entries if e)
 
-    @property
-    def norm_squared(self) -> int:
-        return sum(e * e for e in self.entries)
-
     def to_string(self) -> str:
         return "".join("+" if e == 1 else "-" if e == -1 else "0"
                        for e in self.entries)
@@ -89,7 +85,15 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
 
     For each sign pattern s the integer matrix prod_i (I + s_i O_i) equals
     2^n times the projector onto the joint eigenspace, so its trace must be
-    exactly 2^n (rank one).  A nonzero column of that matrix is the ray.
+    exactly 2^n (rank one).  All 2^n products are built at once as one
+    (2^n, dim, dim) stack, patterns in ``product((1, -1), repeat=n)`` order:
+    each operator doubles the stack into P + O P and P - O P, where O acts on
+    the rows as a signed permutation, row j of O P being row j XOR x of P
+    times the operator's sign and the parity of popcount((j XOR x) AND z).
+    The first nonzero column of each product is its ray.  The rays are then
+    checked as eigenvectors against the Kronecker matrix ``pauli_to_matrix``,
+    one batched product per operator, so that the bit action is checked by
+    an independent realisation.
     """
     ops = list(cset.ops)
     n = ops[0].n
@@ -102,25 +106,35 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
     points = [(op.x_bits << n) | op.z_bits for op in ops]
     if GF2Subspace.span_of(points, 2 * n).rank != n:
         raise ValueError("operators of set %s are not independent" % cset.label)
-    mats = [pauli_to_matrix(op) for op in ops]
-    eye = np.eye(dim, dtype=np.int64)
-    out = []
-    for signs in product((1, -1), repeat=n):
-        m = eye
-        for s, mat in zip(signs, mats):
-            m = m @ (eye + s * mat)
-        if int(np.trace(m)) != dim:
+    rows = np.arange(dim)
+    stack = np.eye(dim, dtype=np.int64)[None]
+    for op in ops:
+        src = rows ^ op.x_bits
+        phase = np.array([op.sign * (-1 if (j & op.z_bits).bit_count() % 2
+                                     else 1) for j in src], dtype=np.int64)
+        image = phase[:, None] * stack[:, src, :]
+        stack = np.stack((stack + image, stack - image), axis=1).reshape(
+            -1, dim, dim)
+    patterns = list(product((1, -1), repeat=n))
+    traces = np.trace(stack, axis1=1, axis2=2)
+    for signs, trace in zip(patterns, traces):
+        if int(trace) != dim:
             raise ValueError(
                 "sign pattern %s of set %s gives a projector of rank != 1"
                 % (signs, cset.label))
-        col = next(m[:, j] for j in range(dim) if m[:, j].any())
-        ray = Ray(canonical_entries(col))
-        vec = np.array(ray.entries, dtype=np.int64)
-        for s, op in zip(signs, ops):
-            if not np.array_equal(apply_pauli(op, vec), s * vec):
-                raise AssertionError(
-                    "extracted ray is not an eigenvector of %s" % op)
-        out.append(ray)
+    # The first nonzero column of each product, made canonical as
+    # ``canonical_entries`` does: content 1, first nonzero entry +1.
+    each = np.arange(len(stack))
+    vecs = stack[each, :, stack.any(axis=1).argmax(axis=1)]
+    vecs //= np.gcd.reduce(vecs, axis=1)[:, None]
+    vecs *= np.sign(vecs[each, (vecs != 0).argmax(axis=1)])[:, None]
+    out = [Ray(tuple(v)) for v in vecs.tolist()]
+    signs = np.array(patterns, dtype=np.int64)
+    for i, op in enumerate(ops):
+        images = vecs @ pauli_to_matrix(op).T
+        if not np.array_equal(images, signs[:, i:i + 1] * vecs):
+            raise AssertionError(
+                "extracted ray is not an eigenvector of %s" % op)
     return out
 
 

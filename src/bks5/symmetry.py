@@ -149,39 +149,66 @@ class AutGroupReport:
     closure_verified: bool
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One np.void scalar per row, so rows sort and search as wholes.
+# Product entries one block of the multiplication table may hold.
+_BLOCK_ENTRIES = 1 << 16
 
-    The empty graph's one permutation has no entries; np.void cannot be
-    zero bytes wide, so its rows get a one-byte key.
+
+def _base(E: np.ndarray) -> list:
+    """Points whose images tell all rows of ``E`` apart, chosen greedily.
+
+    A point joins when it splits rows that agree on the points before it.
+    For a group that at least halves the pointwise stabiliser, so the base
+    has at most log2(size) points.
     """
-    if rows.shape[1] == 0:
-        return np.zeros(len(rows), dtype="V1")
-    rows = np.ascontiguousarray(rows)
-    width = rows.dtype.itemsize * rows.shape[1]
-    return rows.view(np.dtype((np.void, width))).ravel()
+    size, n = E.shape
+    base, ranks, distinct = [], np.zeros(size, dtype=np.int64), 1
+    for point in range(n):
+        if distinct == size:
+            break
+        values, split = np.unique(ranks * n + E[:, point], return_inverse=True)
+        if len(values) > distinct:
+            base.append(point)
+            ranks, distinct = split, len(values)
+    return base
+
+
+def _base_keys(images: np.ndarray, n: int) -> np.ndarray:
+    """Base-point images packed in radix n along the last axis.
+
+    Keys are below n ** width: int64 where that fits, Python ints beyond.
+    """
+    width = images.shape[-1]
+    dtype = np.int64 if n ** width <= 2 ** 63 else object
+    powers = [n ** k for k in reversed(range(width))]
+    return images.astype(dtype) @ np.array(powers, dtype=dtype)
 
 
 def _multiplication_table(elements, n: int) -> np.ndarray:
     """``mult[a, b]`` is the index of the composition p_a(p_b(i)).
 
-    Built one row at a time, so no (size, size, n) tensor is ever held.
+    Built in blocks of rows of at most ``_BLOCK_ENTRIES`` product entries
+    (or one row, if that is larger), so no (size, size, n) tensor is ever
+    held.  Each product is found by its integer base key and then compared
+    with the found element in full.
     """
     size = len(elements)
     # The smallest unsigned type that holds n - 1; numpy raises rather
     # than wraps on an element that does not fit.
     E = np.array(elements, dtype=np.min_scalar_type(max(n - 1, 0)))
-    keys = _row_keys(E)
+    base = _base(E)
+    keys = _base_keys(E[:, base], n)
     sorter = np.argsort(keys)
+    keys = keys[sorter]
     mult = np.empty((size, size), dtype=np.min_scalar_type(size - 1))
-    for a in range(size):
-        products = _row_keys(E[a][E])
-        pos = np.minimum(np.searchsorted(keys, products, sorter=sorter),
-                         size - 1)
-        mult[a] = sorter[pos]
-        if not (keys[mult[a]] == products).all():
+    rows = max(1, _BLOCK_ENTRIES // max(size * n, 1))
+    for lo in range(0, size, rows):
+        products = E[lo:lo + rows][:, E]  # products[a, b] = E[lo + a][E[b]]
+        found = np.searchsorted(keys, _base_keys(products[:, :, base], n))
+        block = sorter[np.minimum(found, size - 1)]
+        if not (E[block] == products).all():
             raise AssertionError(
                 "automorphisms are not closed under composition")
+        mult[lo:lo + rows] = block
     return mult
 
 

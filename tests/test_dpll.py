@@ -35,6 +35,28 @@ class TestParseDimacs:
         with pytest.raises(ValueError, match="out of range"):
             dpll.parse_dimacs("p cnf 2 1\n3 0\n")
 
+    def test_clause_before_problem_line_raises(self):
+        with pytest.raises(ValueError,
+                           match="line 1: clause before the problem line"):
+            dpll.parse_dimacs("1 2 0\np cnf 2 1\n")
+
+    def test_second_problem_line_raises(self):
+        """A second header must not silently replace the first."""
+        with pytest.raises(ValueError, match="line 2: second problem line"):
+            dpll.parse_dimacs("p cnf 5 1\np cnf 2 1\n1 2 0\n")
+
+    def test_non_integer_token_raises(self):
+        """Comment and blank lines count towards the line number."""
+        with pytest.raises(ValueError,
+                           match="line 4: 'x' is not an integer literal"):
+            dpll.parse_dimacs("c header\n\np cnf 2 1\n1 x 0\n")
+
+    def test_malformed_problem_line_raises(self):
+        for header in ("p cnf 2", "p dnf 2 1", "p cnf two 1", "p cnf -2 1"):
+            with pytest.raises(ValueError,
+                               match="line 1: malformed problem line"):
+                dpll.parse_dimacs(header + "\n1 0\n")
+
 
 class TestSolve:
     def test_trivially_sat(self):
@@ -113,3 +135,207 @@ class TestExportedInstances:
         result = dpll.solve(nvars, clauses)
         assert result.satisfiable is True
         assert sum(result.assignment.values()) == 1
+
+
+# ------------------------------------------------------------------ oracle
+# The solver as it stood before its tables were indexed by literal.  The
+# literal-indexed ``dpll.solve`` must reproduce it exactly: verdict, model,
+# node count and propagation count.
+
+def _reference_solve(nvars: int, clauses) -> dpll.DpllResult:
+    """The dict-indexed DPLL with a separate ``enqueue``, kept as an oracle.
+
+    ``dpll.solve`` must return exactly this result, counters and model
+    included, on every input.
+    """
+    imp = {}
+    long_clauses = []
+    root_units = []
+    for cl in clauses:
+        lits = tuple(dict.fromkeys(cl))
+        if any(-lit in lits for lit in lits):
+            continue
+        if len(lits) == 0:
+            return dpll.DpllResult(False, None, 0, 0)
+        if len(lits) == 1:
+            root_units.append(lits[0])
+        elif len(lits) == 2:
+            a, b = lits
+            imp.setdefault(-a, []).append(b)
+            imp.setdefault(-b, []).append(a)
+        else:
+            long_clauses.append(lits)
+
+    occ = {}
+    for ci, lits in enumerate(long_clauses):
+        for lit in lits:
+            occ.setdefault(lit, []).append(ci)
+    nf = [len(lits) for lits in long_clauses]
+    satc = [0] * len(long_clauses)
+    assign = [0] * (nvars + 1)
+    trail = []
+    pending = []
+    state = {"conflict": False, "nodes": 0, "propagations": 0}
+
+    def enqueue(lit: int) -> None:
+        var = abs(lit)
+        val = 1 if lit > 0 else -1
+        if assign[var]:
+            if assign[var] != val:
+                state["conflict"] = True
+            return
+        assign[var] = val
+        trail.append(lit)
+        for ci in occ.get(lit, ()):
+            satc[ci] += 1
+        for ci in occ.get(-lit, ()):
+            nf[ci] -= 1
+            if satc[ci] == 0:
+                if nf[ci] == 0:
+                    state["conflict"] = True
+                elif nf[ci] == 1:
+                    pending.append(ci)
+
+    def drain(head: int) -> int:
+        """Process trail implications and pending long-clause units."""
+        while not state["conflict"] and (head < len(trail) or pending):
+            if head < len(trail):
+                lit = trail[head]
+                head += 1
+                for forced in imp.get(lit, ()):
+                    state["propagations"] += 1
+                    enqueue(forced)
+                    if state["conflict"]:
+                        return head
+            else:
+                ci = pending.pop()
+                if satc[ci] == 0 and nf[ci] == 1:
+                    unit = next(lit for lit in long_clauses[ci]
+                                if assign[abs(lit)] == 0)
+                    state["propagations"] += 1
+                    enqueue(unit)
+        return head
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            lit = trail.pop()
+            assign[abs(lit)] = 0
+            for ci in occ.get(lit, ()):
+                satc[ci] -= 1
+            for ci in occ.get(-lit, ()):
+                nf[ci] += 1
+        state["conflict"] = False
+        pending.clear()
+
+    for lit in root_units:
+        enqueue(lit)
+        if state["conflict"]:
+            return dpll.DpllResult(False, None, 0, state["propagations"])
+
+    score = {}
+    for cl in clauses:
+        for lit in cl:
+            score[abs(lit)] = score.get(abs(lit), 0) + 1
+    order = sorted(range(1, nvars + 1), key=lambda v: (-score.get(v, 0), v))
+
+    def search(head: int) -> bool:
+        state["nodes"] += 1
+        head = drain(head)
+        if state["conflict"]:
+            return False
+        var = next((v for v in order if assign[v] == 0), None)
+        if var is None:
+            return True
+        mark = len(trail)
+        for val in (var, -var):
+            enqueue(val)
+            if not state["conflict"] and search(len(trail) - 1):
+                return True
+            undo(mark)
+        return False
+
+    satisfiable = search(0)
+    # ``search`` holds itself through its closure cell; clearing the cell
+    # frees the clause index now instead of at the next cyclic collection.
+    del search
+    if satisfiable:
+        model = {v: assign[v] > 0 for v in range(1, nvars + 1)}
+        for cl in clauses:
+            if not any(model[abs(lit)] == (lit > 0) for lit in cl):
+                raise AssertionError("solver returned a non-model")
+        return dpll.DpllResult(True, model, state["nodes"],
+                               state["propagations"])
+    return dpll.DpllResult(False, None, state["nodes"], state["propagations"])
+
+
+def _random_cnf(rng):
+    """A small seeded CNF mixing every clause shape the solver special-cases.
+
+    Mostly binary and ternary clauses, up to four per variable (with some
+    units) or up to eight (mostly ternary, no units), so that both verdicts
+    come with real search.  Some clauses are 4 wide, a few are empty, and
+    about one in eight gets an explicit duplicate or complementary literal.
+    """
+    nvars = rng.randint(0, 12)
+    if nvars == 0:
+        return 0, [()] * rng.randint(0, 2)
+    clauses = []
+    density = rng.choice((4, 8))
+    for _ in range(rng.randint(0, density * nvars)):
+        width = rng.choice((2, 2, 3, 3, 3, 3, 3, 4) if density == 4
+                           else (2, 3, 3, 3, 3, 3, 3, 3, 3, 4))
+        roll = rng.random()
+        if roll < 0.04 and density == 4:
+            width = 1 if roll > 0.004 else 0
+        cl = [rng.choice((-1, 1)) * rng.randint(1, nvars)
+              for _ in range(width)]
+        if cl and rng.random() < 0.125:
+            lit = rng.choice(cl)
+            cl.insert(rng.randint(0, len(cl)), rng.choice((lit, -lit)))
+        clauses.append(tuple(cl))
+    return nvars, clauses
+
+
+class TestAgainstReference:
+    def test_random_cnfs_match_reference_exactly(self):
+        rng = random.Random(20260601)
+        shapes = set()
+        for _ in range(3000):
+            nvars, clauses = _random_cnf(rng)
+            for cl in clauses:
+                if not cl:
+                    shapes.add("empty")
+                elif len(cl) == 1:
+                    shapes.add("unit")
+                elif len(set(cl)) < len(cl):
+                    shapes.add("duplicate")
+                if any(-lit in cl for lit in cl):
+                    shapes.add("tautology")
+            assert dpll.solve(nvars, clauses) == _reference_solve(
+                nvars, clauses), (nvars, clauses)
+        assert shapes == {"empty", "unit", "duplicate", "tautology"}
+
+    @pytest.mark.parametrize("clauses", [
+        [], [()], [(1,)], [(1, 1)], [(1, -1)], [(1, 1, -1)], [(-2, -2, -2)],
+        [(1, 2), (-1, 2), (1, -2), (-1, -2)], [(1, 2, 3), (-1,), (-2,)],
+        [(1,), (2,), (3,), (-1, -2, -3)],
+    ])
+    def test_edge_cases_match_reference(self, clauses):
+        assert dpll.solve(3, clauses) == _reference_solve(3, clauses)
+
+
+class TestPinnedCounters:
+    """Verdict and work counters of the exported KS instances."""
+
+    @pytest.mark.parametrize("fixture,nodes,propagations", [
+        ("proof_bases", 1347, 96366),
+        ("block_bases", 2047, 170113),
+        ("all_bases", 1023, 66657),
+    ])
+    def test_counters(self, request, ortho_graph, fixture, nodes,
+                      propagations):
+        bases = request.getfixturevalue(fixture)
+        inst = KSInstance.build(ortho_graph, bases)
+        result = dpll.solve(*dpll.parse_dimacs(export_cnf(inst)))
+        assert (result.satisfiable, result.nodes, result.propagations) == (
+            False, nodes, propagations)

@@ -1,9 +1,14 @@
 """Tests for joint eigenrays, the 160-ray table, and partner structure."""
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
 from bks5 import catalog
-from bks5.pauli import CommutingSet, apply_pauli, make_pauli
+from bks5.geometry import GF2Subspace
+from bks5.pauli import (CommutingSet, PauliOp, apply_pauli, commutes,
+                        is_symmetric, make_pauli, pauli_to_matrix)
 from bks5.rays import (Ray, RayTableError, build_ray_table, canonical_entries,
                        five_sets, identify_block, joint_eigenrays, partner)
 
@@ -51,6 +56,62 @@ class TestJointEigenrays:
         ops = (make_pauli("YI"), make_pauli("IZ"))
         with pytest.raises(ValueError, match="symmetric"):
             joint_eigenrays(CommutingSet("asym", ops))
+
+
+def _reference_joint_eigenrays(cset):
+    """The dense-matmul extraction, kept as an oracle for ``joint_eigenrays``.
+
+    One integer matrix product per operator and sign pattern, and one
+    ``apply_pauli`` check per ray and operator.
+    """
+    ops = list(cset.ops)
+    n = ops[0].n
+    dim = 1 << n
+    mats = [pauli_to_matrix(op) for op in ops]
+    eye = np.eye(dim, dtype=np.int64)
+    out = []
+    for signs in product((1, -1), repeat=n):
+        m = eye
+        for s, mat in zip(signs, mats):
+            m = m @ (eye + s * mat)
+        assert int(np.trace(m)) == dim
+        col = next(m[:, j] for j in range(dim) if m[:, j].any())
+        ray = Ray(canonical_entries(col))
+        vec = np.array(ray.entries, dtype=np.int64)
+        for s, op in zip(signs, ops):
+            assert np.array_equal(apply_pauli(op, vec), s * vec)
+        out.append(ray)
+    return out
+
+
+def _random_commuting_set(rng, n):
+    """n independent, pairwise commuting, symmetric signed operators."""
+    while True:
+        ops = [PauliOp(n, rng.randrange(1 << n), rng.randrange(1 << n),
+                       rng.choice((1, -1))) for _ in range(n)]
+        points = [(op.x_bits << n) | op.z_bits for op in ops]
+        if (all(is_symmetric(op) for op in ops)
+                and all(commutes(a, b) for a in ops for b in ops)
+                and GF2Subspace.span_of(points, 2 * n).rank == n):
+            return CommutingSet("random", tuple(ops))
+
+
+class TestAgainstReference:
+    """The batched extraction returns the dense-matmul rays, in order."""
+
+    def test_five_sets(self):
+        for cset in five_sets().values():
+            assert joint_eigenrays(cset) == _reference_joint_eigenrays(cset)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_seeded_small_sets(self, n):
+        rng = random.Random(1000 + n)
+        seen = set()
+        for _ in range(60):
+            cset = _random_commuting_set(rng, n)
+            seen.add(cset.ops)
+            assert joint_eigenrays(cset) == _reference_joint_eigenrays(cset)
+        assert len(seen) >= 4  # all four for one qubit: +-X, +-Z
 
 
 class TestRayTable:

@@ -149,6 +149,47 @@ class TestSmallGraphs:
             automorphism_group(graph)
 
 
+class TestMultiplicationTable:
+    """Integer base keys against a dict of whole permutation tuples."""
+
+    @staticmethod
+    def brute_force(elements):
+        index = {p: i for i, p in enumerate(elements)}
+        return [[index[tuple(pa[i] for i in pb)] for pb in elements]
+                for pa in elements]
+
+    @pytest.mark.parametrize("bases", [
+        catalog.PROOF_BASES,
+        {k: (0, k) for k in range(1, 6)},
+        {1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (4, 5), 5: (5, 1)},
+        {},
+    ], ids=["proof", "K5", "C5", "empty"])
+    def test_matches_brute_force(self, bases):
+        graph = build_overlap_graph(bases)
+        elements = symmetry._all_automorphisms(graph)
+        mult = symmetry._multiplication_table(elements, graph.n)
+        assert mult.tolist() == self.brute_force(elements)
+
+    def test_keys_wider_than_int64(self):
+        """Four disjoint swaps on 10^5 points: a 4-point base, 10^20 keys."""
+        n = 100_000
+        swaps = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        elements = []
+        for bits in range(16):
+            perm = list(range(n))
+            for k, (u, v) in enumerate(swaps):
+                if bits >> k & 1:
+                    perm[u], perm[v] = v, u
+            elements.append(tuple(perm))
+        E = np.array(elements, dtype=np.uint32)
+        assert len(symmetry._base(E)) == 4
+        assert symmetry._base_keys(np.full((1, 4), n - 1), n).tolist() == \
+            [n ** 4 - 1]
+        mult = symmetry._multiplication_table(elements, n)
+        assert mult.tolist() == [[a ^ b for b in range(16)]
+                                 for a in range(16)]
+
+
 class TestMaximalClassCliques:
     """The clique search against brute force over all vertex subsets."""
 
