@@ -15,6 +15,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .rays import RayTable
 
 
@@ -40,18 +42,15 @@ class OrthoGraph:
 
 
 def build_ortho_graph(table: RayTable) -> OrthoGraph:
-    """Exact integer inner products decide every edge."""
+    """Exact integer inner products decide every edge.
+
+    Bit j of row i is set when Gram entry (i, j) is zero; every ray has a
+    positive norm, so none is its own neighbour.
+    """
     entries = table.entries_matrix()
-    gram = entries @ entries.T
-    n = len(table)
-    rows = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if i != j and gram[i, j] == 0:
-                mask |= 1 << j
-        rows.append(mask)
-    return OrthoGraph(ids=tuple(r.id for r in table.rays), rows=tuple(rows),
+    zero = np.packbits(entries @ entries.T == 0, axis=1, bitorder="little")
+    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in zero)
+    return OrthoGraph(ids=tuple(r.id for r in table.rays), rows=rows,
                       dim=entries.shape[1])
 
 

@@ -154,21 +154,7 @@ def solve(nvars: int, clauses) -> DpllResult:
                         if v < 0:
                             return -1
                         continue
-                    value[forced] = 1
-                    value[-forced] = -1
-                    trail.append(forced)
-                    for ci in occ[forced]:
-                        satc[ci] += 1
-                    ok = True
-                    for ci in occ[-forced]:
-                        left = nf[ci] - 1
-                        nf[ci] = left
-                        if left < 2 and not satc[ci]:
-                            if left:
-                                pending.append(ci)
-                            else:
-                                ok = False
-                    if not ok:
+                    if not assign(forced):
                         return -1
             elif pending:
                 ci = pending.pop()

@@ -27,26 +27,26 @@ def hs_distance_squared(table: RayTable, basis_a, basis_b) -> Fraction:
     """Definitional per-pair computation, exact in Fraction arithmetic."""
     entries = table.entries_matrix()
     d = entries.shape[1]
-    rows_a = _basis_rows(entries, basis_a, d)
-    rows_b = _basis_rows(entries, basis_b, d)
-    norms_a = [int(v @ v) for v in rows_a]
-    norms_b = [int(v @ v) for v in rows_b]
+    gram = entries @ entries.T
+    rows_a = _check_basis(gram, basis_a, d)
+    rows_b = _check_basis(gram, basis_b, d)
     total = Fraction(0)
-    for va, na in zip(rows_a, norms_a):
-        for vb, nb in zip(rows_b, norms_b):
-            p = Fraction(int(va @ vb) ** 2, na * nb)
+    for a in rows_a:
+        for b in rows_b:
+            p = Fraction(int(gram[a, b]) ** 2,
+                         int(gram[a, a]) * int(gram[b, b]))
             total += (p - Fraction(1, d)) ** 2
     return 1 - Fraction(1, d - 1) * total
 
 
-def _basis_rows(entries, basis, d):
-    ids = tuple(basis)
-    if len(ids) != d:
+def _check_basis(gram, basis, d) -> list:
+    """The Gram rows of ``basis``, whose ids must name d orthogonal rays."""
+    rows = [rid - 1 for rid in basis]
+    if len(rows) != d:
         raise ValueError("a complete basis needs %d rays, got %d"
-                         % (d, len(ids)))
-    rows = [entries[rid - 1] for rid in ids]
-    gram = np.array(rows) @ np.array(rows).T
-    if np.any(gram - np.diag(np.diag(gram))):
+                         % (d, len(rows)))
+    sub = gram[np.ix_(rows, rows)]
+    if np.any(sub - np.diag(np.diag(sub))):
         raise ValueError("basis rays are not pairwise orthogonal")
     return rows
 
@@ -110,9 +110,10 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     bases = [tuple(b) for b in bases]
     entries = table.entries_matrix()
     d = entries.shape[1]
-    for b in bases:
-        _basis_rows(entries, b, d)
     gram = entries @ entries.T
+    selector = np.zeros((len(bases), len(table)), dtype=np.int64)
+    for bi, b in enumerate(bases):
+        selector[bi, _check_basis(gram, b, d)] = 1
     norms = np.diag(gram).astype(np.int64)
     scale = lcm(*(int(x) for x in norms)) ** 4
     limit = int(np.iinfo(np.int64).max)
@@ -124,10 +125,6 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     if np.any(scale % denom):
         raise AssertionError("norm scaling is not integral")
     scaled = (gram.astype(np.int64) ** 4) * (scale // denom)
-    selector = np.zeros((len(bases), len(table)), dtype=np.int64)
-    for bi, b in enumerate(bases):
-        for rid in b:
-            selector[bi, rid - 1] = 1
     totals = selector @ scaled @ selector.T
     wrong = np.flatnonzero(np.diagonal(totals) != d * scale)
     if wrong.size:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -156,14 +157,12 @@ class RayTable:
         return np.array([r.entries for r in self.rays], dtype=np.int64)
 
     def partner_id(self, ray_id: int) -> int:
-        return self._partner_ids()[ray_id]
+        return self._partner_ids[ray_id]
 
+    @cached_property
     def _partner_ids(self) -> dict:
-        if not hasattr(self, "_pid_cache"):
-            index = {r.entries: r.id for r in self.rays}
-            pid = {r.id: index[partner(r).entries] for r in self.rays}
-            object.__setattr__(self, "_pid_cache", pid)
-        return self._pid_cache
+        index = {r.entries: r.id for r in self.rays}
+        return {r.id: index[partner(r).entries] for r in self.rays}
 
     def block_of(self, ray_id: int) -> str:
         for label, (lo, hi) in self.block_map.items():
@@ -239,17 +238,19 @@ def build_ray_table() -> RayTable:
 
 
 def _validate_table(table: RayTable):
-    entries = table.entries_matrix()
     if len({r.entries for r in table.rays}) != len(table.rays):
         raise RayTableError("table contains projectively equal rays")
-    gram = entries @ entries.T
+    entries = table.entries_matrix()
     for label, (lo, hi) in table.block_map.items():
-        block = range(lo - 1, hi)
-        for i, j in combinations(block, 2):
-            if gram[i, j] != 0:
-                raise RayTableError(
-                    "rays %d and %d of block %s are not orthogonal"
-                    % (i + 1, j + 1, label))
+        block = entries[lo - 1:hi]
+        # Row-major order over the strict upper triangle is the
+        # ``combinations`` order, so the first hit is the first bad pair.
+        bad = np.argwhere(np.triu(block @ block.T, 1))
+        if len(bad):
+            i, j = bad[0] + lo
+            raise RayTableError(
+                "rays %d and %d of block %s are not orthogonal"
+                % (i, j, label))
     for r in table.rays:
         pid = table.partner_id(r.id)
         if table.block_of(pid) != table.block_of(r.id):
@@ -257,12 +258,11 @@ def _validate_table(table: RayTable):
                 "partner of ray %d falls outside its block" % r.id)
 
 
-def identify_block(r: Ray, sets: dict | None = None) -> str:
+def identify_block(r: Ray) -> str:
     """The unique commuting set for which ``r`` is a joint eigenvector."""
-    sets = sets or five_sets()
     vec = np.array(r.entries, dtype=np.int64)
     hits = []
-    for label, cset in sets.items():
+    for label, cset in five_sets().items():
         if all(_is_eigenvector(op, vec) for op in cset.ops):
             hits.append(label)
     if len(hits) != 1:

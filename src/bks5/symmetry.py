@@ -223,11 +223,19 @@ def automorphism_group(g: OverlapGraph) -> AutGroupReport:
     mult = _multiplication_table(elements, n)
     inv = np.argmax(mult == id_idx, axis=1)
 
+    # Every element order divides the group order, so ``size`` powers
+    # reach the identity from each element of a true group table.
     orders = np.zeros(size, dtype=np.intp)
-    power, k = np.arange(size), 1
-    while not orders.all():
+    power = np.arange(size)
+    for k in range(1, size + 1):
         orders[(power == id_idx) & (orders == 0)] = k
-        power, k = mult[power, np.arange(size)], k + 1
+        if orders.all():
+            break
+        power = mult[power, np.arange(size)]
+    else:
+        raise AssertionError("element %d has no power equal to the identity"
+                             " within the group order: not a group table"
+                             % np.argmin(orders))
     census = {}
     for o in orders.tolist():
         census[o] = census.get(o, 0) + 1

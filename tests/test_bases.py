@@ -19,13 +19,22 @@ class TestOrthoGraph:
     def test_dimension(self, ortho_graph):
         assert ortho_graph.dim == 32
 
-    def test_adjacency_matches_inner_products(self, ray_table, ortho_graph):
-        entries = ray_table.entries_matrix()
-        gram = entries @ entries.T
-        for i in range(0, 160, 17):
-            for j in range(160):
-                edge = (ortho_graph.rows[i] >> j) & 1
-                assert edge == (1 if i != j and gram[i, j] == 0 else 0)
+    def test_adjacency_matches_inner_products(self, ray_table, ortho_graph,
+                                              mermin_table):
+        """Every row, on the 160-ray table and the 24-ray Mermin table."""
+        for table, graph in ((ray_table, ortho_graph),
+                             (mermin_table[0],
+                              build_ortho_graph(mermin_table[0]))):
+            entries = table.entries_matrix()
+            gram = entries @ entries.T
+            n = len(table)
+            assert graph.ids == tuple(range(1, n + 1))
+            assert graph.dim == entries.shape[1]
+            for i in range(n):
+                for j in range(n):
+                    edge = (graph.rows[i] >> j) & 1
+                    assert edge == (1 if i != j and gram[i, j] == 0 else 0)
+                assert graph.rows[i] >> n == 0
 
     def test_no_self_loops(self, ortho_graph):
         for i, row in enumerate(ortho_graph.rows):

@@ -55,6 +55,18 @@ class TestHsDistanceSquared:
 class TestDistanceSpectrum:
     """Exact spectra over the printed and the full basis families."""
 
+    def test_incomplete_basis_rejected(self, ray_table, proof_bases):
+        bases = [proof_bases[0][:31]] + list(proof_bases[1:])
+        with pytest.raises(ValueError, match="32 rays"):
+            distance_spectrum(ray_table, bases)
+
+    def test_non_orthogonal_family_rejected(self, ray_table, proof_bases):
+        tampered = list(proof_bases[3])
+        tampered[0] = [rid for rid in range(1, 161)
+                       if rid not in tampered][0]
+        with pytest.raises(ValueError, match="orthogonal"):
+            distance_spectrum(ray_table, list(proof_bases[:3]) + [tampered])
+
     def test_pair_multiplicities_sum_to_choose_2(self, spectrum21,
                                                  spectrum661):
         assert sum(spectrum21.pairs.values()) == 21 * 20 // 2

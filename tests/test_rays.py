@@ -9,8 +9,9 @@ from bks5 import catalog
 from bks5.geometry import GF2Subspace
 from bks5.pauli import (CommutingSet, PauliOp, apply_pauli, commutes,
                         is_symmetric, make_pauli, pauli_to_matrix)
-from bks5.rays import (Ray, RayTableError, build_ray_table, canonical_entries,
-                       five_sets, identify_block, joint_eigenrays, partner)
+from bks5.rays import (Ray, RayTable, RayTableError, _validate_table,
+                       build_ray_table, canonical_entries, five_sets,
+                       identify_block, joint_eigenrays, partner)
 
 
 class TestJointEigenrays:
@@ -176,6 +177,59 @@ class TestPartner:
     def test_partner_of_plain_ray(self):
         r = Ray((0, 1, 0, -1))
         assert partner(r).entries == (1, 0, -1, 0)
+
+
+def _small_table(block_map, *rays):
+    """A hand-built table over R^4; ``rays`` are entry tuples in id order."""
+    return RayTable(rays=tuple(Ray(e, i) for i, e in enumerate(rays, 1)),
+                    block_map=block_map)
+
+
+class TestValidateTable:
+    """Each fault ``_validate_table`` guards against, on a 4-dimensional table.
+
+    The partner of e1 is e4 and the partner of e2 is e3, so blocks
+    {e1, e4} and {e2, e3} make a valid table.
+    """
+
+    E1, E2, E3, E4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                      (0, 0, 0, 1))
+
+    def test_valid_table_passes(self):
+        _validate_table(_small_table({"P": (1, 2), "Q": (3, 4)},
+                                     self.E1, self.E4, self.E2, self.E3))
+
+    def test_projectively_equal_rays(self):
+        table = _small_table({"P": (1, 2), "Q": (3, 4)},
+                             self.E1, self.E4, self.E2, self.E2)
+        with pytest.raises(RayTableError, match="projectively equal"):
+            _validate_table(table)
+
+    def test_first_non_orthogonal_pair_in_block(self):
+        """Pairs (1, 4) and (2, 3) are bad; ``combinations`` order names
+        (1, 4), where an order by the second ray would name (2, 3)."""
+        table = _small_table({"Q": (1, 4)}, self.E1, self.E2, (0, 1, 1, 0),
+                             (1, 0, 0, 1))
+        with pytest.raises(RayTableError,
+                           match="^rays 1 and 4 of block Q are not "
+                                 "orthogonal$"):
+            _validate_table(table)
+
+    def test_blocks_checked_in_block_map_order(self):
+        table = _small_table({"Q": (3, 4), "P": (1, 2)},
+                             (1, 1, 0, 0), self.E1, (0, 0, 1, 1), self.E4)
+        with pytest.raises(RayTableError,
+                           match="^rays 3 and 4 of block Q are not "
+                                 "orthogonal$"):
+            _validate_table(table)
+
+    def test_partner_outside_block(self):
+        table = _small_table({"P": (1, 2), "Q": (3, 4)},
+                             self.E1, self.E2, self.E3, self.E4)
+        with pytest.raises(RayTableError,
+                           match="^partner of ray 1 falls outside its "
+                                 "block$"):
+            _validate_table(table)
 
 
 class TestRayValidation:

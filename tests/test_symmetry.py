@@ -148,6 +148,17 @@ class TestSmallGraphs:
                            match="not closed under composition"):
             automorphism_group(graph)
 
+    def test_element_orders_need_a_group_table(self, monkeypatch):
+        """Under a column-permuted table some powers never reach the
+        identity; the order loop must stop at the group order and fail."""
+        real = symmetry._multiplication_table
+        monkeypatch.setattr(symmetry, "_multiplication_table",
+                            lambda elements, n: np.roll(
+                                real(elements, n), 1, axis=1))
+        graph = build_overlap_graph({k: (0, k) for k in range(1, 5)})
+        with pytest.raises(AssertionError, match="not a group table"):
+            automorphism_group(graph)
+
 
 class TestMultiplicationTable:
     """Integer base keys against a dict of whole permutation tuples."""
