@@ -5,7 +5,12 @@ An instance asks for an assignment of 0/1 to every involved ray such that
 orthogonal involved rays are both valued 1.  Because the rays of a basis
 are pairwise orthogonal, (i) and (ii) together force exactly one 1 per
 basis, so the search branches on which ray of a most-constrained basis
-carries the 1.  The solver is exhaustive and deterministic; any witness it
+carries the 1.  A search node scans the bases its parent left open, in
+order: one pass sets the only available ray of a basis to 1, stops at the
+first basis with none, and notes the first basis with the fewest available
+rays.  A pass that set a ray is repeated over the bases it left open; the
+pass that sets none gives the branch basis and the open bases that the
+children scan.  The solver is exhaustive and deterministic; any witness it
 reports is re-checked by the independent verifier before being returned.
 """
 from __future__ import annotations
@@ -93,65 +98,57 @@ class ColoringResult:
 
 def check_colorable(inst: KSInstance) -> ColoringResult:
     """Decide colorability by exhaustive propagation-driven search."""
-    adj, basis_masks = inst.graph.rows, inst.basis_masks
-    stats = {"nodes": 0, "propagations": 0}
+    adj = inst.graph.rows
+    more = len(adj) + 1  # more rays than any basis holds
+    nodes = propagations = 0
 
-    def propagate(ones: int, zeros: int):
-        changed = True
-        while changed:
-            changed = False
-            for mask in basis_masks:
+    def search(ones: int, zeros: int, masks):
+        nonlocal nodes, propagations
+        nodes += 1
+        while True:
+            free = ~zeros
+            still_open = []
+            best, fewest = 0, more
+            for mask in masks:
                 if mask & ones:
                     continue
-                avail = mask & ~zeros
-                if avail == 0:
-                    return None
-                if avail & (avail - 1) == 0:
+                avail = mask & free
+                if avail & (avail - 1):
+                    still_open.append(mask)
+                    count = avail.bit_count()
+                    if count < fewest:
+                        best, fewest = avail, count
+                elif avail:
                     ones |= avail
                     zeros |= adj[avail.bit_length() - 1]
-                    stats["propagations"] += 1
-                    changed = True
-        return ones, zeros
-
-    def search(ones: int, zeros: int):
-        stats["nodes"] += 1
-        state = propagate(ones, zeros)
-        if state is None:
-            return None
-        ones, zeros = state
-        best_mask = None
-        best_count = None
-        for mask in basis_masks:
-            if mask & ones:
-                continue
-            avail = mask & ~zeros
-            count = avail.bit_count()
-            if best_count is None or count < best_count:
-                best_count = count
-                best_mask = avail
-        if best_mask is None:
-            return ones, zeros
-        cand = best_mask
-        while cand:
-            bit = cand & -cand
-            cand &= cand - 1
-            result = search(ones | bit, zeros | adj[bit.bit_length() - 1])
+                    free = ~zeros
+                    propagations += 1
+                    fewest = 0  # this pass is repeated: choose in the next
+                else:
+                    return None
+            if fewest:
+                break
+            masks = still_open
+        if not best:
+            return ones  # every basis is satisfied
+        while best:
+            bit = best & -best
+            best ^= bit
+            result = search(ones | bit, zeros | adj[bit.bit_length() - 1],
+                            still_open)
             if result is not None:
                 return result
         return None
 
-    outcome = search(0, 0)
+    outcome = search(0, 0, inst.basis_masks)
     del search  # break the recursive closure's self-reference
     if outcome is None:
-        return ColoringResult("non_colorable", None, stats["nodes"],
-                              stats["propagations"])
-    ones, _ = outcome
+        return ColoringResult("non_colorable", None, nodes, propagations)
     pos = {rid: i for i, rid in enumerate(inst.graph.ids)}
-    witness = {rid: (ones >> pos[rid]) & 1 for rid in inst.ray_ids}
+    witness = {rid: (outcome >> pos[rid]) & 1 for rid in inst.ray_ids}
     if not verify_coloring(inst, witness):
         raise AssertionError("solver produced a witness the verifier rejects")
-    return ColoringResult("colorable", witness, stats["nodes"],
-                          stats["propagations"])
+    return ColoringResult("colorable", witness, nodes, propagations)
 
 
 def count_colorings(inst: KSInstance) -> int:

@@ -120,10 +120,10 @@ def search_small_proof(graph: OrthoGraph, bases, seed: int = 0,
         others = [i for i in range(len(bases)) if i not in chosen]
         while len(chosen) < min(max_size, len(bases)) and others:
             chosen.add(others.pop(rng.randrange(len(others))))
-        sample = sorted(chosen)
-        if colorable(sample).status != "non_colorable":
+        current = sorted(chosen)
+        result = colorable(current)
+        if result.status != "non_colorable":
             continue
-        current = sample
         changed = True
         while changed:
             changed = False
@@ -131,12 +131,13 @@ def search_small_proof(graph: OrthoGraph, bases, seed: int = 0,
                 trial = [i for i in current if i != drop]
                 if not has_partition(trial):
                     continue
-                if colorable(trial).status == "non_colorable":
-                    current = trial
+                trial_result = colorable(trial)
+                if trial_result.status == "non_colorable":
+                    current, result = trial, trial_result
                     changed = True
         final = tuple(current)
         return ProofCandidate("found", final,
                               tuple(bases[i] for i in final), len(final), k,
-                              seed, colorable(final), k + 1)
+                              seed, result, k + 1)
     return ProofCandidate("budget_exhausted", (), (), 0, None, seed, None,
                           budget)

@@ -1,13 +1,16 @@
 """Tests for KS instances, the coloring solver, and CNF export."""
 import hashlib
+import random
 from itertools import combinations, product
 
 import pytest
 
 from bks5 import catalog
 from bks5.bases import build_ortho_graph
-from bks5.coloring import (InstanceError, KSInstance, check_colorable,
-                           count_colorings, export_cnf, verify_coloring)
+from bks5.coloring import (ColoringResult, InstanceError, KSInstance,
+                           check_colorable, count_colorings, export_cnf,
+                           verify_coloring)
+from bks5.search import search_small_proof
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +212,162 @@ class TestExportCnf:
         text = export_cnf(proof_instance)
         assert "−" not in text
         assert text.isascii()
+
+
+# ------------------------------------------------------------------ oracle
+# The solver as it stood when every node ran ``propagate`` to a fixpoint and
+# then scanned all bases again for the branch basis.  ``check_colorable``
+# must reproduce it exactly: verdict, witness, node count and propagation
+# count.
+
+def _reference_check_colorable(inst: KSInstance) -> ColoringResult:
+    """The two-scan solver, kept as an oracle for ``check_colorable``."""
+    adj, basis_masks = inst.graph.rows, inst.basis_masks
+    stats = {"nodes": 0, "propagations": 0}
+
+    def propagate(ones: int, zeros: int):
+        changed = True
+        while changed:
+            changed = False
+            for mask in basis_masks:
+                if mask & ones:
+                    continue
+                avail = mask & ~zeros
+                if avail == 0:
+                    return None
+                if avail & (avail - 1) == 0:
+                    ones |= avail
+                    zeros |= adj[avail.bit_length() - 1]
+                    stats["propagations"] += 1
+                    changed = True
+        return ones, zeros
+
+    def search(ones: int, zeros: int):
+        stats["nodes"] += 1
+        state = propagate(ones, zeros)
+        if state is None:
+            return None
+        ones, zeros = state
+        best_mask = None
+        best_count = None
+        for mask in basis_masks:
+            if mask & ones:
+                continue
+            avail = mask & ~zeros
+            count = avail.bit_count()
+            if best_count is None or count < best_count:
+                best_count = count
+                best_mask = avail
+        if best_mask is None:
+            return ones, zeros
+        cand = best_mask
+        while cand:
+            bit = cand & -cand
+            cand &= cand - 1
+            result = search(ones | bit, zeros | adj[bit.bit_length() - 1])
+            if result is not None:
+                return result
+        return None
+
+    outcome = search(0, 0)
+    del search
+    if outcome is None:
+        return ColoringResult("non_colorable", None, stats["nodes"],
+                              stats["propagations"])
+    ones, _ = outcome
+    pos = {rid: i for i, rid in enumerate(inst.graph.ids)}
+    witness = {rid: (ones >> pos[rid]) & 1 for rid in inst.ray_ids}
+    if not verify_coloring(inst, witness):
+        raise AssertionError("solver produced a witness the verifier rejects")
+    return ColoringResult("colorable", witness, stats["nodes"],
+                          stats["propagations"])
+
+
+def _random_subfamily(rng, all_bases, all_partitions):
+    """1 to 24 distinct bases of the 661, in draw order.
+
+    About one family in six of five or more bases starts from a partition,
+    as the search's samples do, so that non-colorable families are common.
+    """
+    size = rng.randint(1, 24)
+    chosen = []
+    if size >= 5 and rng.random() < 0.15:
+        chosen = list(all_partitions[rng.randrange(len(all_partitions))])
+    while len(chosen) < size:
+        index = rng.randrange(len(all_bases))
+        if index not in chosen:
+            chosen.append(index)
+    return [all_bases[i] for i in chosen]
+
+
+@pytest.fixture(scope="module")
+def search_trials(ortho_graph, all_bases, all_partitions):
+    """Every distinct instance three seeded searches hand to the solver."""
+    trials = {}
+    for seed, max_size in [(1, 20), (2, 13), (0, 30)]:
+        seen = {}
+
+        def record(inst, seen=seen):
+            seen.setdefault(inst.bases, inst)
+            return check_colorable(inst)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("bks5.search.check_colorable", record)
+            search_small_proof(ortho_graph, all_bases, seed=seed,
+                               max_size=max_size, partitions=all_partitions)
+        trials[seed, max_size] = list(seen.values())
+    return trials
+
+
+class TestAgainstReference:
+    """The single-scan solver against the two-scan oracle, result for result."""
+
+    def test_random_subfamilies_match_reference(self, ortho_graph, all_bases,
+                                                all_partitions):
+        rng = random.Random(20261018)
+        colorable = non_colorable = propagating = 0
+        for _ in range(1000):
+            inst = KSInstance.build(
+                ortho_graph, _random_subfamily(rng, all_bases, all_partitions))
+            expected = _reference_check_colorable(inst)
+            assert check_colorable(inst) == expected, inst.bases
+            colorable += expected.status == "colorable"
+            non_colorable += expected.status == "non_colorable"
+            propagating += expected.propagations > 0
+        assert colorable >= 800
+        assert non_colorable >= 100
+        assert propagating >= 150
+
+    @pytest.mark.parametrize("selection", [
+        "empty", "repeated", "mermin", "proof", "blocks", "all"])
+    def test_fixed_families_match_reference(self, selection, ortho_graph,
+                                            proof_bases, block_bases,
+                                            all_bases, mermin_table):
+        if selection == "mermin":
+            table, contexts = mermin_table
+            inst = KSInstance.build(build_ortho_graph(table), contexts)
+        else:
+            bases = {"empty": [], "repeated": [proof_bases[3]] * 3,
+                     "proof": proof_bases, "blocks": block_bases,
+                     "all": all_bases}[selection]
+            inst = KSInstance.build(ortho_graph, bases)
+        assert check_colorable(inst) == _reference_check_colorable(inst)
+
+    @pytest.mark.parametrize("take", range(1, 8))
+    def test_proof_prefixes_match_reference(self, take, ortho_graph,
+                                            proof_bases):
+        inst = KSInstance.build(ortho_graph, proof_bases[:take])
+        assert check_colorable(inst) == _reference_check_colorable(inst)
+
+    @pytest.mark.parametrize("seed, max_size", [(1, 20), (2, 13), (0, 30)])
+    def test_search_trial_instances_match_reference(self, seed, max_size,
+                                                    search_trials):
+        for inst in search_trials[seed, max_size]:
+            assert check_colorable(inst) == _reference_check_colorable(inst)
+
+    def test_search_trial_counters_pinned(self, search_trials):
+        """Summed work over the 16 distinct trials of seed 1, max_size 20."""
+        results = [check_colorable(inst) for inst in search_trials[1, 20]]
+        assert len(results) == 16
+        assert (sum(r.nodes for r in results),
+                sum(r.propagations for r in results)) == (11792, 8192)

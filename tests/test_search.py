@@ -74,6 +74,23 @@ class TestSearchSmallProof:
         assert find_partitions(candidate.bases,
                                universe=range(1, 161)) != []
 
+    def test_each_instance_solved_once(self, ortho_graph, all_bases,
+                                       all_partitions, monkeypatch):
+        """The candidate keeps the result of its last accepted solve."""
+        solved = []
+
+        def record(inst):
+            solved.append(inst.bases)
+            return check_colorable(inst)
+
+        monkeypatch.setattr("bks5.search.check_colorable", record)
+        candidate = search_small_proof(ortho_graph, all_bases, seed=1,
+                                       max_size=20, partitions=all_partitions)
+        assert len(solved) == len(set(solved)) == 16
+        assert candidate.bases in solved
+        inst = KSInstance.build(ortho_graph, candidate.bases)
+        assert candidate.coloring == check_colorable(inst)
+
     def test_same_seed_same_answer(self, ortho_graph, all_bases,
                                    all_partitions):
         first = search_small_proof(ortho_graph, all_bases, seed=3,
