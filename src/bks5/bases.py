@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,11 @@ class OrthoGraph:
     @property
     def n(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def position(self) -> dict:
+        """Ray id -> its 0-based vertex position (bit in ``rows``)."""
+        return {rid: i for i, rid in enumerate(self.ids)}
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2

@@ -43,7 +43,7 @@ class KSInstance:
 
     @classmethod
     def build(cls, graph: OrthoGraph, bases) -> "KSInstance":
-        pos = {rid: i for i, rid in enumerate(graph.ids)}
+        pos = graph.position
         norm_bases = []
         masks = []
         involved = set()
@@ -74,8 +74,7 @@ class KSInstance:
     @cached_property
     def ortho_pairs(self) -> tuple:
         """Every orthogonal pair among the involved rays, in id order."""
-        pos = {rid: i for i, rid in enumerate(self.graph.ids)}
-        rows = self.graph.rows
+        pos, rows = self.graph.position, self.graph.rows
         return tuple((a, b) for a, b in combinations(self.ray_ids, 2)
                      if (rows[pos[a]] >> pos[b]) & 1)
 
@@ -144,7 +143,7 @@ def check_colorable(inst: KSInstance) -> ColoringResult:
     del search  # break the recursive closure's self-reference
     if outcome is None:
         return ColoringResult("non_colorable", None, nodes, propagations)
-    pos = {rid: i for i, rid in enumerate(inst.graph.ids)}
+    pos = inst.graph.position
     witness = {rid: (outcome >> pos[rid]) & 1 for rid in inst.ray_ids}
     if not verify_coloring(inst, witness):
         raise AssertionError("solver produced a witness the verifier rejects")
@@ -174,7 +173,7 @@ def count_colorings(inst: KSInstance) -> int:
 
 
 def verify_coloring(inst: KSInstance, assignment: dict) -> bool:
-    """Independent witness check: no search state, just the two conditions."""
+    """Independent witness check; (ii) is tested among the rays valued 1."""
     if set(assignment) != set(inst.ray_ids):
         raise ValueError("assignment keys do not match the involved rays")
     for value in assignment.values():
@@ -183,10 +182,10 @@ def verify_coloring(inst: KSInstance, assignment: dict) -> bool:
     for ids in inst.bases:
         if not any(assignment[rid] == 1 for rid in ids):
             return False
-    for a, b in inst.ortho_pairs:
-        if assignment[a] == 1 and assignment[b] == 1:
-            return False
-    return True
+    pos, rows = inst.graph.position, inst.graph.rows
+    ones = [rid for rid in inst.ray_ids if assignment[rid] == 1]
+    return not any((rows[pos[a]] >> pos[b]) & 1
+                   for a, b in combinations(ones, 2))
 
 
 def export_cnf(inst: KSInstance) -> str:

@@ -19,48 +19,48 @@ def find_partitions(bases, universe=None) -> list[tuple]:
 
     Returns sorted tuples of 0-based indices into ``bases``, in sorted
     order.  The universe defaults to the union of all input rays.  The
-    search meets in the middle: disjoint pairs are indexed by their union
-    mask, then each pairwise-disjoint triple looks up the exact complement
-    of its union.
+    search is an exact cover (Knuth's Algorithm X) on bitmasks: each node
+    covers its lowest uncovered ray with every still-available basis
+    through it, and choosing a basis withdraws every basis it meets, so
+    each partition is reached exactly once.
     """
     bases = [tuple(b) for b in bases]
     if universe is None:
-        universe = set()
-        for b in bases:
-            universe.update(b)
+        universe = set().union(*bases)
     ids = sorted(universe)
     pos = {rid: i for i, rid in enumerate(ids)}
     full = (1 << len(ids)) - 1
     masks = []
-    for b in bases:
+    holding = [0] * len(ids)  # bit i of holding[r]: basis i holds ray r
+    for i, b in enumerate(bases):
         mask = 0
         for rid in b:
             if rid not in pos:
                 raise ValueError("basis ray %r outside the universe" % (rid,))
             mask |= 1 << pos[rid]
+            holding[pos[rid]] |= 1 << i
         masks.append(mask)
-    n = len(masks)
+    clash = []  # bit j of clash[i]: bases i and j share a ray
+    for b in bases:
+        clash.append(0)
+        for rid in b:
+            clash[-1] |= holding[pos[rid]]
 
-    pair_by_union = {}
-    disj = [[] for _ in range(n)]
-    for i in range(n):
-        mi = masks[i]
-        for j in range(i + 1, n):
-            if mi & masks[j] == 0:
-                disj[i].append(j)
-                pair_by_union.setdefault(mi | masks[j], []).append((i, j))
-
-    found = set()
-    for i in range(n):
-        mi = masks[i]
-        for j in disj[i]:
-            mij = mi | masks[j]
-            for k in disj[j]:
-                if masks[k] & mij:
-                    continue
-                rest = full ^ (mij | masks[k])
-                for a, b in pair_by_union.get(rest, ()):
-                    found.add(tuple(sorted((i, j, k, a, b))))
+    found = []
+    stack = [((), 0, (1 << len(masks)) - 1)]
+    while stack:
+        chosen, covered, avail = stack.pop()
+        if covered == full:
+            if len(chosen) == 5:
+                found.append(tuple(sorted(chosen)))
+        elif len(chosen) < 5:
+            lowest = ~covered & (covered + 1)
+            cand = holding[lowest.bit_length() - 1] & avail
+            while cand:
+                i = (cand & -cand).bit_length() - 1
+                cand &= cand - 1
+                stack.append((chosen + (i,), covered | masks[i],
+                              avail & ~clash[i]))
     return sorted(found)
 
 

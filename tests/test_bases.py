@@ -1,5 +1,6 @@
 """Tests for the orthogonality graph and maximal-basis enumeration."""
 import random
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -39,6 +40,15 @@ class TestOrthoGraph:
     def test_no_self_loops(self, ortho_graph):
         for i, row in enumerate(ortho_graph.rows):
             assert not (row >> i) & 1
+
+    def test_position_inverts_ids(self, ray_table, ortho_graph):
+        """The cached id -> position map is no field and leaves == alone."""
+        fresh = build_ortho_graph(ray_table)
+        assert all(ortho_graph.ids[i] == rid
+                   for rid, i in ortho_graph.position.items())
+        assert len(ortho_graph.position) == ortho_graph.n
+        assert fresh == ortho_graph and hash(fresh) == hash(ortho_graph)
+        assert [f.name for f in fields(OrthoGraph)] == ["ids", "rows", "dim"]
 
 
 class TestEnumeration:

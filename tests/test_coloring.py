@@ -153,6 +153,29 @@ class TestVerifyColoring:
         with pytest.raises(ValueError):
             verify_coloring(inst, assignment)
 
+    def test_matches_pairwise_check(self, ortho_graph, all_bases,
+                                    all_partitions):
+        """Same verdict as testing every orthogonal pair of involved rays,
+        on solver witnesses and on witnesses with three values flipped."""
+        rng = random.Random(31)
+        accepted = rejected = 0
+        for _ in range(300):
+            inst = KSInstance.build(
+                ortho_graph, _random_subfamily(rng, all_bases, all_partitions))
+            witness = check_colorable(inst).witness
+            if witness is None:
+                continue
+            flipped = dict(witness)
+            for rid in rng.sample(inst.ray_ids, 3):
+                flipped[rid] ^= 1
+            for assignment in (witness, flipped):
+                expected = _pairwise_verify(inst, assignment)
+                assert verify_coloring(inst, assignment) is expected
+                accepted += expected
+                rejected += not expected
+        assert accepted >= 250
+        assert rejected >= 200
+
 
 class TestMerminOracle:
     """Brute-force cross-check on the two-qubit square."""
@@ -281,6 +304,13 @@ def _reference_check_colorable(inst: KSInstance) -> ColoringResult:
         raise AssertionError("solver produced a witness the verifier rejects")
     return ColoringResult("colorable", witness, stats["nodes"],
                           stats["propagations"])
+
+
+def _pairwise_verify(inst: KSInstance, assignment: dict) -> bool:
+    """Conditions (i) and (ii), the latter over every orthogonal pair."""
+    return (all(any(assignment[rid] for rid in ids) for ids in inst.bases)
+            and not any(assignment[a] and assignment[b]
+                        for a, b in inst.ortho_pairs))
 
 
 def _random_subfamily(rng, all_bases, all_partitions):

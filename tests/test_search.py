@@ -1,4 +1,8 @@
 """Tests for the partition catalogue and the randomized proof search."""
+import hashlib
+import random
+from itertools import combinations
+
 import pytest
 
 from bks5 import catalog
@@ -37,6 +41,163 @@ class TestFindPartitions:
     def test_explicit_universe_mismatch_raises(self, proof_bases):
         with pytest.raises(ValueError, match="outside the universe"):
             find_partitions(proof_bases, universe=range(1, 100))
+
+    def test_full_catalogue_digest(self, all_partitions):
+        text = "\n".join(" ".join(map(str, p)) for p in all_partitions)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "de83b63bf44a22549e3a7835a8b5bb1b8e900a947e445a905f92a6d2fb991094"
+
+    def test_empty_basis_is_no_block(self, block_bases):
+        """Four bases and an empty one do not tile the rays."""
+        assert find_partitions(block_bases[:4] + [()]) == []
+
+
+def _reference_find_partitions(bases, universe=None) -> list[tuple]:
+    """Meet in the middle: disjoint pairs indexed by their union mask, then
+    each pairwise-disjoint triple looks up the exact complement of its union.
+    Each partition is reached once per way of splitting it into a triple
+    and a pair, so a set removes the repeats."""
+    bases = [tuple(b) for b in bases]
+    if universe is None:
+        universe = set()
+        for b in bases:
+            universe.update(b)
+    ids = sorted(universe)
+    pos = {rid: i for i, rid in enumerate(ids)}
+    full = (1 << len(ids)) - 1
+    masks = []
+    for b in bases:
+        mask = 0
+        for rid in b:
+            if rid not in pos:
+                raise ValueError("basis ray %r outside the universe" % (rid,))
+            mask |= 1 << pos[rid]
+        masks.append(mask)
+    n = len(masks)
+
+    pair_by_union = {}
+    disj = [[] for _ in range(n)]
+    for i in range(n):
+        mi = masks[i]
+        for j in range(i + 1, n):
+            if mi & masks[j] == 0:
+                disj[i].append(j)
+                pair_by_union.setdefault(mi | masks[j], []).append((i, j))
+
+    found = set()
+    for i in range(n):
+        mi = masks[i]
+        for j in disj[i]:
+            mij = mi | masks[j]
+            for k in disj[j]:
+                if masks[k] & mij:
+                    continue
+                rest = full ^ (mij | masks[k])
+                for a, b in pair_by_union.get(rest, ()):
+                    found.add(tuple(sorted((i, j, k, a, b))))
+    return sorted(found)
+
+
+def _random_family(rng, all_bases, all_partitions):
+    """0 to 40 of the 661 bases in draw order, with an optional universe.
+
+    Some families have a partition planted at random positions, some repeat
+    bases (so one tiling can appear under several index tuples), and some
+    pass an explicit universe: all 160 rays, or their union with rays no
+    basis holds.
+    """
+    family = [all_bases[i] for i in rng.sample(range(len(all_bases)),
+                                               rng.randint(0, 35))]
+    if rng.random() < 0.4:
+        for i in all_partitions[rng.randrange(len(all_partitions))]:
+            family.insert(rng.randint(0, len(family)), all_bases[i])
+    if family and rng.random() < 0.3:
+        for _ in range(rng.randint(1, 5)):
+            family.insert(rng.randint(0, len(family)), rng.choice(family))
+    family = family[:40]
+    universe = None
+    if rng.random() < 0.3:
+        universe = set(range(1, 161))
+        if rng.random() < 0.5:
+            universe.add(rng.randint(161, 170))
+    return family, universe
+
+
+def _tilings(bases, universe):
+    """Brute force: every 5-subset whose sizes sum to the universe's and
+    whose union is the universe."""
+    return [c for c in combinations(range(len(bases)), 5)
+            if sum(len(bases[i]) for i in c) == len(universe)
+            and set().union(*(bases[i] for i in c)) == universe]
+
+
+@pytest.fixture(scope="module")
+def drop_trials(ortho_graph, all_bases, all_partitions):
+    """Every family three seeded searches test for a partition."""
+    trials = {}
+    for seed, max_size in [(1, 20), (2, 13), (0, 30)]:
+        seen = []
+
+        def record(bases, universe=None, seen=seen):
+            seen.append((list(bases), universe))
+            return find_partitions(bases, universe=universe)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("bks5.search.find_partitions", record)
+            search_small_proof(ortho_graph, all_bases, seed=seed,
+                               max_size=max_size, partitions=all_partitions)
+        trials[seed, max_size] = seen
+    return trials
+
+
+class TestAgainstReference:
+    """The exact-cover search against the meet-in-the-middle oracle."""
+
+    def test_fixed_families_match_reference(self, proof_bases, block_bases,
+                                            all_bases, all_partitions):
+        assert all_partitions == _reference_find_partitions(all_bases)
+        for bases in ([], proof_bases, block_bases, proof_bases[:4],
+                      block_bases[::-1], [block_bases[0]] * 5):
+            assert find_partitions(bases) == _reference_find_partitions(bases)
+
+    @pytest.mark.parametrize("seed, max_size", [(1, 20), (2, 13), (0, 30)])
+    def test_drop_trials_match_reference(self, seed, max_size, drop_trials):
+        trials = drop_trials[seed, max_size]
+        assert trials
+        for bases, universe in trials:
+            assert universe is not None
+            assert find_partitions(bases, universe=universe) == \
+                _reference_find_partitions(bases, universe=universe)
+
+    def test_random_families_match_reference(self, all_bases, all_partitions):
+        rng = random.Random(9)
+        tiled = repeated = several = 0
+        for _ in range(600):
+            family, universe = _random_family(rng, all_bases, all_partitions)
+            expected = _reference_find_partitions(family, universe)
+            assert find_partitions(family, universe) == expected, family
+            tiled += bool(expected)
+            several += len(expected) > 1
+            repeated += len(set(family)) < len(family)
+        assert tiled >= 100
+        assert several >= 20
+        assert repeated >= 100
+
+    def test_small_families_match_brute_force(self):
+        """Bases of 1 or 2 rays over 6 to 9 rays tile in many ways, with any
+        number of blocks, so only the 5-block tilings may be returned."""
+        rng = random.Random(16)
+        tiled = 0
+        for _ in range(300):
+            rays = range(rng.randint(6, 9))
+            bases = [tuple(rng.sample(rays, rng.randint(1, 2)))
+                     for _ in range(rng.randint(5, 16))]
+            universe = set().union(*bases)
+            expected = _tilings(bases, universe)
+            assert find_partitions(bases) == expected, bases
+            assert _reference_find_partitions(bases) == expected, bases
+            tiled += bool(expected)
+        assert tiled >= 100
 
 
 class TestSearchSmallProof:
