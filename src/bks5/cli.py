@@ -2,9 +2,10 @@
 
 Every subcommand writes deterministic artifacts (no timestamps, sorted
 keys) into the output directory and prints a one-line summary.  ``verify``
-reruns the complete battery of checks against the embedded reference data
-and prints one PASS/FAIL line per check; a check that raises is reported as
-FAIL with the exception on an indented line below, and the rest still run.
+runs every entry of ``CHECKS`` against the embedded reference data and
+prints one PASS/FAIL line per check.  A FAIL has an indented reason line
+below it: the observed and expected values, or the exception the check
+raised; the rest of the checks still run.
 """
 from __future__ import annotations
 
@@ -13,16 +14,16 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, dpll
-from .bases import (bases_sha256, build_ortho_graph, contains_basis,
-                    enumerate_maximal_bases, write_bases_json,
-                    write_bases_text)
+from .bases import (bases_sha256, build_ortho_graph, enumerate_maximal_bases,
+                    write_bases_json, write_bases_text)
 from .coloring import KSInstance, check_colorable, export_cnf
 from .geometry import geometry_report
-from .metrics import distance_spectrum, emit_histogram, format_distance
+from .metrics import distance_spectrum, emit_histogram, histogram_format
 from .pauli import verify_magic
 from .rays import build_ray_table, magic_configuration
 from .search import find_partitions, search_small_proof
@@ -41,22 +42,41 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-def _select_bases(selection: str, graph) -> list:
+def _select_bases(selection: str, derived) -> list:
     if selection == "proof":
         return catalog.proof_bases()
     if selection == "blocks":
         return catalog.block_bases()
     if selection == "all":
-        return enumerate_maximal_bases(graph)
+        return derived.bases
     raise ValueError("unknown basis selection %r" % selection)
 
 
-def _census_ok(bases) -> bool:
-    """Count, digest, and every proof and block basis present."""
-    return (len(bases) == catalog.BASIS_COUNT
-            and bases_sha256(bases) == catalog.BASES_SHA256
-            and all(contains_basis(bases, b) for b in catalog.proof_bases())
-            and all(contains_basis(bases, b) for b in catalog.block_bases()))
+class _Derived:
+    """The ray table, graph and 661 bases, each built on first use; in
+    ``verify``, one that raises fails only the checks that read it."""
+
+    table = functools.cached_property(lambda self: build_ray_table())
+    graph = functools.cached_property(
+        lambda self: build_ortho_graph(self.table))
+    bases = functools.cached_property(
+        lambda self: enumerate_maximal_bases(self.graph))
+
+
+def _census(bases) -> tuple:
+    """Count, full digest, and the proof and block bases not in ``bases``."""
+    present = {tuple(sorted(b)) for b in bases}
+    return (len(bases), bases_sha256(bases),
+            [b for b in catalog.proof_bases() + catalog.block_bases()
+             if tuple(sorted(b)) not in present])
+
+
+def _certify(graph, bases):
+    """Solver verdict, DIMACS text and DPLL verdict for ``bases``."""
+    inst = KSInstance.build(graph, bases)
+    result = check_colorable(inst)
+    cnf = export_cnf(inst)
+    return result, cnf, dpll.solve(*dpll.parse_dimacs(cnf))
 
 
 def cmd_rays(args) -> int:
@@ -83,26 +103,20 @@ def cmd_rays(args) -> int:
 
 
 def cmd_bases(args) -> int:
-    graph = build_ortho_graph(build_ray_table())
-    bases = enumerate_maximal_bases(graph)
+    d = _Derived()
     out = _out_dir(args)
-    write_bases_text(bases, out / "bases.txt")
-    write_bases_json(bases, out / "bases.json")
-    digest = bases_sha256(bases)
-    ok = _census_ok(bases)
+    write_bases_text(d.bases, out / "bases.txt")
+    write_bases_json(d.bases, out / "bases.json")
+    census, expected = _maximal_bases(d)
+    ok = census == expected
     print("bases: %d enumerated, census %s (sha256 %s...)"
-          % (len(bases), "verified" if ok else "MISMATCH", digest[:12]))
+          % (census[0], "verified" if ok else "MISMATCH", census[1][:12]))
     return 0 if ok else 1
 
 
 def cmd_color(args) -> int:
-    graph = build_ortho_graph(build_ray_table())
-    selected = _select_bases(args.bases, graph)
-    inst = KSInstance.build(graph, selected)
-    result = check_colorable(inst)
-    cnf = export_cnf(inst)
-    nvars, clauses = dpll.parse_dimacs(cnf)
-    cross = dpll.solve(nvars, clauses)
+    d = _Derived()
+    result, cnf, cross = _certify(d.graph, _select_bases(args.bases, d))
     agree = (result.status == "colorable") == cross.satisfiable
     out = _out_dir(args)
     (out / ("instance-%s.cnf" % args.bases)).write_text(cnf)
@@ -125,9 +139,8 @@ def cmd_color(args) -> int:
 
 
 def cmd_search(args) -> int:
-    graph = build_ortho_graph(build_ray_table())
-    bases = enumerate_maximal_bases(graph)
-    candidate = search_small_proof(graph, bases, seed=args.seed,
+    d = _Derived()
+    candidate = search_small_proof(d.graph, d.bases, seed=args.seed,
                                    max_size=args.max_size,
                                    budget=args.budget)
     out = _out_dir(args)
@@ -146,12 +159,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    table = build_ray_table()
-    graph = build_ortho_graph(table)
-    selected = _select_bases(args.bases, graph)
-    spectrum = distance_spectrum(table, selected)
+    formats = [histogram_format(f) for f in args.format.split(",")]
+    d = _Derived()
+    spectrum = distance_spectrum(d.table, _select_bases(args.bases, d))
     out = _out_dir(args)
-    formats = args.format.split(",")
     for fmt in formats:
         emit_histogram(spectrum,
                        out / ("histogram-%s.%s" % (args.bases, fmt)), fmt)
@@ -206,104 +217,89 @@ def cmd_symmetry(args) -> int:
     return 0
 
 
+# Each check maps the shared derivations to (observed, expected); the
+# expected side is read from the catalog when the check runs.
+
+def _ray_table(d):
+    partners = {r: d.table.partner_id(r) for r in catalog.PARTNER_EXCEPTIONS}
+    return ((dict(Counter(r.support for r in d.table.rays)), partners),
+            ({1: 32, 8: 96, 16: 32}, catalog.PARTNER_EXCEPTIONS))
+
+
+def _magic_parity(d):
+    m = verify_magic(magic_configuration())
+    return ((m.operator_count, set(m.occurrences.values()), m.sign_product,
+             m.parity_contradiction), (14, {2}, -1, True))
+
+
+def _maximal_bases(d):
+    return _census(d.bases), (catalog.BASIS_COUNT, catalog.BASES_SHA256, [])
+
+
+def _non_colorable(graph, bases):
+    result, _, cross = _certify(graph, bases)
+    return (result.status, cross.satisfiable), ("non_colorable", False)
+
+
+def _distance_spectra(d):
+    spec21 = distance_spectrum(d.table, catalog.proof_bases())
+    spec_all = distance_spectrum(d.table, d.bases)
+    return ((spec21.distinct_value_count, spec_all.distinct_value_count,
+             sorted(v for v, _ in spec21.top_values(2))),
+            (catalog.DISTINCT_DISTANCES_PROOF, catalog.DISTINCT_DISTANCES_ALL,
+             sorted(Fraction(*p) for p in catalog.PEAKS)))
+
+
+def _symmetry(d):
+    aut = automorphism_group(build_overlap_graph(catalog.PROOF_BASES))
+    return ((aut.order, aut.normal_ea_order, aut.quotient_order,
+             aut.quotient_nonabelian, aut.closure_verified),
+            (catalog.AUT_ORDER, catalog.AUT_NORMAL_EA_ORDER,
+             catalog.AUT_QUOTIENT_ORDER, True, True))
+
+
+def _search_regression(d):
+    found = search_small_proof(d.graph, d.bases, seed=0)
+    golden = catalog.SEARCH_GOLDEN
+    return ((found.status, found.restart, found.size,
+             list(found.basis_indices)),
+            ("found", golden["restart"], golden["size"], golden["bases"]))
+
+
+CHECKS = (
+    ("ray_table", _ray_table),
+    ("magic_parity", _magic_parity),
+    ("maximal_bases", _maximal_bases),
+    ("coloring_proof_bases",
+     lambda d: _non_colorable(d.graph, catalog.proof_bases())),
+    ("coloring_all_bases", lambda d: _non_colorable(d.graph, d.bases)),
+    ("unique_partition",
+     lambda d: (find_partitions(catalog.proof_bases()),
+                [tuple(k - 1 for k in catalog.PARTITION_BASES)])),
+    ("distance_spectra", _distance_spectra),
+    # geometry_report raises AssertionError on any deviation from the catalog
+    ("geometry", lambda d: (geometry_report().all_isotropic, True)),
+    ("symmetry", _symmetry),
+    ("search_regression", _search_regression),
+)
+
+
 def cmd_verify(args) -> int:
     t_start = time.time()
-    # Shared derivations are built on first use; one that raises fails
-    # every check that needs it instead of aborting the battery.
-    @functools.cache
-    def table():
-        return build_ray_table()
-
-    @functools.cache
-    def graph():
-        return build_ortho_graph(table())
-
-    @functools.cache
-    def bases():
-        return enumerate_maximal_bases(graph())
-
-    def ray_table() -> bool:
-        census = {}
-        for r in table().rays:
-            census[r.support] = census.get(r.support, 0) + 1
-        return (census == {1: 32, 8: 96, 16: 32}
-                and table().partner_id(138) == 155
-                and table().partner_id(139) == 154)
-
-    def magic_parity() -> bool:
-        magic = verify_magic(magic_configuration())
-        return (magic.operator_count == 14
-                and all(c == 2 for c in magic.occurrences.values())
-                and magic.sign_product == -1
-                and magic.parity_contradiction)
-
-    def non_colorable_and_cross_checked(selection) -> bool:
-        inst = KSInstance.build(graph(), selection)
-        result = check_colorable(inst)
-        nvars, clauses = dpll.parse_dimacs(export_cnf(inst))
-        cross = dpll.solve(nvars, clauses)
-        return result.status == "non_colorable" and not cross.satisfiable
-
-    def unique_partition() -> bool:
-        expected = tuple(k - 1 for k in catalog.PARTITION_BASES)
-        return find_partitions(catalog.proof_bases()) == [expected]
-
-    def distance_spectra() -> bool:
-        spec21 = distance_spectrum(table(), catalog.proof_bases())
-        spec_all = distance_spectrum(table(), bases())
-        peaks = {Fraction(*p) for p in catalog.PEAKS}
-        return (spec21.distinct_value_count ==
-                catalog.DISTINCT_DISTANCES_PROOF
-                and spec_all.distinct_value_count ==
-                catalog.DISTINCT_DISTANCES_ALL
-                and {v for v, _ in spec21.top_values(2)} == peaks)
-
-    def geometry() -> bool:
-        geometry_report()  # raises AssertionError on any deviation
-        return True
-
-    def symmetry() -> bool:
-        aut = automorphism_group(build_overlap_graph(catalog.PROOF_BASES))
-        return (aut.order == catalog.AUT_ORDER
-                and aut.normal_ea_order == catalog.AUT_NORMAL_EA_ORDER
-                and aut.quotient_order == catalog.AUT_QUOTIENT_ORDER
-                and aut.quotient_nonabelian and aut.closure_verified)
-
-    def search_regression() -> bool:
-        golden = catalog.SEARCH_GOLDEN
-        candidate = search_small_proof(graph(), bases(), seed=0)
-        return (candidate.status == "found"
-                and candidate.restart == golden["restart"]
-                and candidate.size == golden["size"]
-                and list(candidate.basis_indices) == golden["bases"])
-
-    checks = [
-        ("ray_table", ray_table),
-        ("magic_parity", magic_parity),
-        ("maximal_bases", lambda: _census_ok(bases())),
-        ("coloring_proof_bases",
-         lambda: non_colorable_and_cross_checked(catalog.proof_bases())),
-        ("coloring_all_bases",
-         lambda: non_colorable_and_cross_checked(bases())),
-        ("unique_partition", unique_partition),
-        ("distance_spectra", distance_spectra),
-        ("geometry", geometry),
-        ("symmetry", symmetry),
-        ("search_regression", search_regression),
-    ]
-    failures = 0
-    for name, check in checks:
-        # Any exception is this check's FAIL; the battery keeps going.
-        try:
-            ok, reason = check(), None
+    derived, failures = _Derived(), 0
+    for name, check in CHECKS:
+        try:  # any exception is this check's FAIL; the battery keeps going
+            observed, expected = check(derived)
+            reason = (None if observed == expected else
+                      "got %r, expected %r" % (observed, expected))
         except Exception as exc:
-            ok, reason = False, "%s: %s" % (type(exc).__name__, exc)
-        print("%-22s %s" % (name, "PASS" if ok else "FAIL"))
+            reason = "%s: %s" % (type(exc).__name__, exc)
+        print("%-22s %s" % (name, "PASS" if reason is None else "FAIL"))
         if reason is not None:
             print("    reason: %s" % reason)
-        failures += 0 if ok else 1
+            failures += 1
     print("verify: %d/%d checks passed in %.1fs"
-          % (len(checks) - failures, len(checks), time.time() - t_start))
+          % (len(CHECKS) - failures, len(CHECKS), time.time() - t_start))
     return 0 if failures == 0 else 1
 
 
@@ -357,7 +353,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # surface a clean one-line error, exit nonzero
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
 
 

@@ -148,20 +148,25 @@ def format_distance(value: Fraction) -> str:
                                  rounding=ROUND_HALF_EVEN), "f")
 
 
+def histogram_format(name: str) -> str:
+    """``name`` if ``emit_histogram`` can write it; a ValueError otherwise."""
+    if name not in ("csv", "svg"):
+        raise ValueError("unknown histogram format %r" % name)
+    return name
+
+
 def emit_histogram(spectrum: DistanceSpectrum, path, fmt: str = "csv"):
     """Write the histogram to ``path`` as deterministic CSV or SVG."""
     rows = spectrum.histogram_rows()
-    if fmt == "csv":
+    if histogram_format(fmt) == "csv":
         lines = ["D,D2_num,D2_den,count"]
         for value, count in rows:
             lines.append("%s,%d,%d,%d" % (format_distance(value),
                                           value.numerator,
                                           value.denominator, count))
         text = "\n".join(lines) + "\n"
-    elif fmt == "svg":
-        text = _histogram_svg(rows)
     else:
-        raise ValueError("unknown histogram format %r" % fmt)
+        text = _histogram_svg(rows)
     with open(path, "w") as fh:
         fh.write(text)
 

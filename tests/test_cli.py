@@ -1,10 +1,16 @@
 """End-to-end checks of the command-line interface."""
 import json
+import re
 
 import pytest
 
-from bks5 import catalog, geometry
+from bks5 import catalog, cli, geometry
 from bks5.cli import main
+
+VERIFY_CHECKS = ["ray_table", "magic_parity", "maximal_bases",
+                 "coloring_proof_bases", "coloring_all_bases",
+                 "unique_partition", "distance_spectra", "geometry",
+                 "symmetry", "search_regression"]
 
 
 def run(tmp_path, *argv):
@@ -40,7 +46,7 @@ class TestRaysCommand:
         monkeypatch.setattr(catalog, "RAYS", tuple(tampered))
         code, _ = run(tmp_path, "rays")
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: RayTableError:" in capsys.readouterr().err
 
 
 class TestBasesCommand:
@@ -56,6 +62,15 @@ class TestBasesCommand:
         assert data["count"] == 661
         assert len(data["bases"]) == 661
         assert "661 enumerated, census verified" in capsys.readouterr().out
+
+    def test_census_mismatch_exits_nonzero(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.setattr(cli, "enumerate_maximal_bases",
+                            lambda graph: catalog.proof_bases())
+        code, out = run(tmp_path, "bases")
+        assert code == 1
+        assert len((out / "bases.txt").read_text().splitlines()) == 21
+        assert "21 enumerated, census MISMATCH" in capsys.readouterr().out
 
 
 class TestColorCommand:
@@ -125,6 +140,12 @@ class TestDistancesCommand:
         assert code == 1
         assert "unknown histogram format" in capsys.readouterr().err
 
+    def test_unknown_format_writes_nothing(self, tmp_path, capsys):
+        code, out = run(tmp_path, "distances", "--format", "csv,png")
+        assert code == 1
+        assert "unknown histogram format 'png'" in capsys.readouterr().err
+        assert not (out / "histogram-proof.csv").exists()
+
 
 class TestGeometryCommand:
     """``geometry`` records the subspace invariants as JSON."""
@@ -167,13 +188,9 @@ class TestVerifyCommand:
         code, _ = run(tmp_path, "verify")
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1].startswith("verify: 10/10 checks passed")
-        names = [line.split()[0] for line in lines[:-1]]
-        assert names == ["ray_table", "magic_parity", "maximal_bases",
-                         "coloring_proof_bases", "coloring_all_bases",
-                         "unique_partition", "distance_spectra", "geometry",
-                         "symmetry", "search_regression"]
-        assert all(line.split()[1] == "PASS" for line in lines[:-1])
+        assert lines[:-1] == ["%-22s PASS" % name for name in VERIFY_CHECKS]
+        assert re.fullmatch(r"verify: 10/10 checks passed in \d+\.\ds",
+                            lines[-1])
 
     def test_raising_check_fails_alone(self, tmp_path, monkeypatch, capsys):
         def broken(spaces):
@@ -192,3 +209,28 @@ class TestVerifyCommand:
                 if verdict == "FAIL"} == {"geometry"}
         reason = lines[lines.index("%-22s FAIL" % "geometry") + 1]
         assert reason == "    reason: ValueError: no generator split"
+
+    def test_failing_checks_say_why(self, tmp_path, monkeypatch, capsys):
+        def no_bases(graph):
+            raise RuntimeError("enumeration disabled")
+
+        monkeypatch.setattr(catalog, "AUT_ORDER", 191)
+        monkeypatch.setattr(cli, "enumerate_maximal_bases", no_bases)
+        code, _ = run(tmp_path, "verify")
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("verify: 5/10 checks passed")
+        needs_661 = {"maximal_bases", "coloring_all_bases",
+                     "distance_spectra", "search_regression"}
+        for name in VERIFY_CHECKS:
+            if name not in needs_661 | {"symmetry"}:
+                assert "%-22s PASS" % name in lines
+                continue
+            at = lines.index("%-22s FAIL" % name)
+            reason = lines[at + 1]
+            if name in needs_661:
+                assert reason == \
+                    "    reason: RuntimeError: enumeration disabled"
+            else:
+                assert re.fullmatch(r"    reason: got .*192.*, "
+                                    r"expected .*191.*", reason)
