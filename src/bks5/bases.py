@@ -60,6 +60,15 @@ def build_ortho_graph(table: RayTable) -> OrthoGraph:
                       dim=entries.shape[1])
 
 
+def unpack_rows(rows, n: int) -> np.ndarray:
+    """Bitmask rows as a 0/1 uint8 matrix: entry (i, j) is bit j of rows[i]."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little")
+                                    for row in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n,
+                         bitorder="little")
+
+
 def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
     """All cliques of size ``graph.dim``, as sorted id tuples in sorted order.
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
-from .bases import OrthoGraph
+import numpy as np
+
+from .bases import OrthoGraph, unpack_rows
 
 
 class InstanceError(Exception):
@@ -74,9 +76,22 @@ class KSInstance:
     @cached_property
     def ortho_pairs(self) -> tuple:
         """Every orthogonal pair among the involved rays, in id order."""
-        pos, rows = self.graph.position, self.graph.rows
-        return tuple((a, b) for a, b in combinations(self.ray_ids, 2)
-                     if (rows[pos[a]] >> pos[b]) & 1)
+        first, second = _pair_indices(self)
+        ids = self.ray_ids
+        return tuple(zip(map(ids.__getitem__, first.tolist()),
+                         map(ids.__getitem__, second.tolist())))
+
+
+def _pair_indices(inst: KSInstance) -> tuple:
+    """Orthogonal pairs among the involved rays as index arrays into ray_ids.
+
+    The strict upper triangle of the involved rays' adjacency is read row by
+    row, so the pairs come in ``combinations(ray_ids, 2)`` order.
+    """
+    graph = inst.graph
+    at = [graph.position[rid] for rid in inst.ray_ids]
+    adj = unpack_rows([graph.rows[p] for p in at], graph.n)[:, at]
+    return np.nonzero(np.triu(adj, 1))
 
 
 @dataclass(frozen=True)
@@ -189,17 +204,21 @@ def verify_coloring(inst: KSInstance, assignment: dict) -> bool:
 
 
 def export_cnf(inst: KSInstance) -> str:
-    """DIMACS rendering: one clause per basis, one per orthogonal pair.
+    """DIMACS rendering: one clause per orthogonal pair, one per basis.
 
-    Variable k corresponds to the k-th smallest involved ray id; the
+    Variable k corresponds to the k-th smallest involved ray id, so pair
+    (i, j) of indices into ``ray_ids`` is the clause -(i + 1) -(j + 1); the
     leading comment block records the mapping.
     """
-    var = {rid: i + 1 for i, rid in enumerate(inst.ray_ids)}
-    lines = ["c var %d = ray %d" % (var[rid], rid) for rid in inst.ray_ids]
-    nclauses = len(inst.ortho_pairs) + len(inst.bases)
-    lines.append("p cnf %d %d" % (len(inst.ray_ids), nclauses))
-    for a, b in inst.ortho_pairs:
-        lines.append("-%d -%d 0" % (var[a], var[b]))
-    for ids in inst.bases:
-        lines.append(" ".join(str(var[rid]) for rid in ids) + " 0")
-    return "\n".join(lines) + "\n"
+    first, second = _pair_indices(inst)
+    nvars = len(inst.ray_ids)
+    head = ["c var %d = ray %d\n" % (k, rid)
+            for k, rid in enumerate(inst.ray_ids, 1)]
+    head.append("p cnf %d %d\n" % (nvars, len(first) + len(inst.bases)))
+    name = [str(k) for k in range(nvars + 1)]
+    pairs = zip(repeat("-"), map(name.__getitem__, (first + 1).tolist()),
+                repeat(" -"), map(name.__getitem__, (second + 1).tolist()),
+                repeat(" 0\n"))
+    var = dict(zip(inst.ray_ids, name[1:]))
+    tail = [" ".join(map(var.__getitem__, ids)) + " 0\n" for ids in inst.bases]
+    return "".join(chain(head, chain.from_iterable(pairs), tail))

@@ -14,7 +14,19 @@ returned.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain, compress, pairwise
+from operator import not_
+
+
+# A comment or problem line after the problem line, in a body whose lines
+# are joined by "\n": optional whitespace, then "c" or "p" at a line start.
+_SKIP_OR_PROBLEM = re.compile(r"^[^\S\n]*[cp]", re.MULTILINE)
+
+# Body lines split and converted together: as fast as one split of the
+# whole body, without holding every token string of a large CNF at once.
+_LINES_PER_SPLIT = 512
 
 
 def parse_dimacs(text: str):
@@ -24,51 +36,86 @@ def parse_dimacs(text: str):
     error names its 1-based line where it has one: a clause before the
     problem line, a second problem line, a token that is not an integer
     and a literal outside 1..nvars.
+
+    Lines up to the problem line are read one by one.  The clause body is
+    converted in bulk: comment lines are blanked, blocks of lines are split
+    and converted with ``map(int)``, and the literals are range-checked
+    with one ``min`` and ``max`` and cut into clauses at the zeros.  Only
+    when that finds a second problem line or a bad token is the body read
+    line by line again, to name the first error.
     """
-    nvars = None
-    nclauses = None
-    clauses = []
-    cur = []
-    for number, raw in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    for number, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if not line.startswith("p"):
+            raise ValueError("line %d: clause before the problem line"
+                             % number)
+        parts = line.split()
+        if (len(parts) != 4 or parts[1] != "cnf"
+                or not (parts[2].isdecimal() and parts[3].isdecimal())):
+            raise ValueError("line %d: malformed problem line: %r"
+                             % (number, raw))
+        nvars, nclauses = int(parts[2]), int(parts[3])
+        break
+    else:
+        raise ValueError("missing problem line")
+
+    rows = lines[number:]
+    body = "\n".join(rows)
+    flawed = False  # a second problem line or a bad token is somewhere
+    row = at = 0
+    # Without a "c" or a "p" anywhere the body has no such line to find.
+    for match in (_SKIP_OR_PROBLEM.finditer(body)
+                  if "c" in body or "p" in body else ()):
+        row += body.count("\n", at, match.start())
+        at = match.start()
+        flawed = flawed or match.group().endswith("p")
+        rows[row] = ""
+    lits = []
+    try:
+        for lo in range(0, len(rows), _LINES_PER_SPLIT):
+            lits += map(int, " ".join(rows[lo:lo + _LINES_PER_SPLIT]).split())
+    except ValueError:
+        flawed = True
+    if flawed or (lits and not -nvars <= min(lits) <= max(lits) <= nvars):
+        _raise_first_error(lines, number, nvars)
+
+    if lits and lits[-1]:
+        raise ValueError("unterminated final clause")
+    ends = compress(range(1, len(lits) + 1), map(not_, lits))
+    clauses = [tuple(lits[lo:hi - 1])
+               for lo, hi in pairwise(chain((0,), ends))]
+    if len(clauses) != nclauses:
+        raise ValueError("problem line promises %d clauses, found %d"
+                         % (nclauses, len(clauses)))
+    return nvars, clauses
+
+
+def _raise_first_error(lines, header: int, nvars: int):
+    """Raise the first error after the problem line, which is line ``header``.
+
+    A second problem line, a token that is not an integer and a literal
+    outside 1..nvars are found in text order, token by token.
+    """
+    for number, raw in enumerate(lines[header:], header + 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
-            if nvars is not None:
-                raise ValueError("line %d: second problem line %r"
-                                 % (number, raw))
-            parts = line.split()
-            if (len(parts) != 4 or parts[1] != "cnf"
-                    or not (parts[2].isdecimal() and parts[3].isdecimal())):
-                raise ValueError("line %d: malformed problem line: %r"
-                                 % (number, raw))
-            nvars, nclauses = int(parts[2]), int(parts[3])
-            continue
-        if nvars is None:
-            raise ValueError("line %d: clause before the problem line"
-                             % number)
+            raise ValueError("line %d: second problem line %r"
+                             % (number, raw))
         for tok in line.split():
             try:
                 lit = int(tok)
             except ValueError:
                 raise ValueError("line %d: %r is not an integer literal"
                                  % (number, tok)) from None
-            if lit == 0:
-                clauses.append(tuple(cur))
-                cur = []
-            elif -nvars <= lit <= nvars:
-                cur.append(lit)
-            else:
+            if not -nvars <= lit <= nvars:
                 raise ValueError("line %d: literal %d out of range 1..%d"
                                  % (number, lit, nvars))
-    if cur:
-        raise ValueError("unterminated final clause")
-    if nvars is None:
-        raise ValueError("missing problem line")
-    if len(clauses) != nclauses:
-        raise ValueError("problem line promises %d clauses, found %d"
-                         % (nclauses, len(clauses)))
-    return nvars, clauses
+    raise AssertionError("the bulk parse found an error the line scan did not")
 
 
 @dataclass(frozen=True)
@@ -80,7 +127,20 @@ class DpllResult:
 
 
 def solve(nvars: int, clauses) -> DpllResult:
-    """Exhaustive DPLL decision; models are independently re-verified."""
+    """Exhaustive DPLL decision; models are independently re-verified.
+
+    Every literal must be a nonzero integer within ±1..nvars: the tables
+    have one slot per literal, so literal nvars + 1 would otherwise share
+    the slot of -nvars.
+    """
+    valid = set(range(-nvars, nvars + 1))
+    valid.discard(0)
+    if not valid.issuperset(chain.from_iterable(clauses)):
+        index, cl, lit = next((index, cl, lit)
+                              for index, cl in enumerate(clauses)
+                              for lit in cl if lit not in valid)
+        raise ValueError("clause %d %r: literal %d out of range ±1..%d"
+                         % (index, cl, lit, nvars))
     size = 2 * nvars + 1  # literal-indexed tables, see the module docstring
     imp = [[] for _ in range(size)]
     long_clauses = []

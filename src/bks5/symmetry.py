@@ -18,6 +18,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .bases import unpack_rows
+
 
 @dataclass(frozen=True)
 class OverlapGraph:
@@ -67,7 +69,14 @@ def _refine_colors(g: OverlapGraph) -> list:
 
 
 def _all_automorphisms(g: OverlapGraph) -> list:
-    """Every adjacency-preserving permutation, as image tuples."""
+    """Every adjacency-preserving permutation, as sorted image tuples."""
+    found = _search_automorphisms(g)
+    _check_automorphism(g, found)
+    return sorted(found)
+
+
+def _search_automorphisms(g: OverlapGraph) -> list:
+    """Backtracking over candidate bitmasks; image tuples in search order."""
     n = g.n
     colors = _refine_colors(g)
     full = (1 << n) - 1
@@ -111,18 +120,23 @@ def _all_automorphisms(g: OverlapGraph) -> list:
 
     extend(0, {}, base_cand, 0)
     del extend  # break the recursive closure's self-reference
-    for perm in found:
-        _check_automorphism(g, perm)
-    return sorted(found)
+    return found
 
 
-def _check_automorphism(g: OverlapGraph, perm: tuple):
-    for i, j in combinations(range(g.n), 2):
-        before = (g.adj[i] >> j) & 1
-        after = (g.adj[perm[i]] >> perm[j]) & 1
-        if before != after:
-            raise AssertionError("claimed automorphism breaks edge (%d, %d)"
-                                 % (i, j))
+def _check_automorphism(g: OverlapGraph, perms: list):
+    """Re-check every permutation against the adjacency alone.
+
+    ``A[P[:, :, None], P[:, None, :]]`` is the adjacency seen through each
+    permutation.  A mismatch in the strict upper triangle names the first
+    bad permutation and its first bad edge in ``combinations`` order.
+    """
+    A = unpack_rows(g.adj, g.n)
+    P = np.array(perms, dtype=np.intp).reshape(len(perms), g.n)
+    bad = np.triu(A[P[:, :, None], P[:, None, :]] != A, 1)
+    if bad.any():
+        i, j = np.argwhere(bad[bad.any(axis=(1, 2)).argmax()])[0]
+        raise AssertionError("claimed automorphism breaks edge (%d, %d)"
+                             % (i, j))
 
 
 def _preserves_weights(g: OverlapGraph, perm: tuple) -> bool:

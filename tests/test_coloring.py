@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from bks5 import catalog
-from bks5.bases import build_ortho_graph
+from bks5.bases import OrthoGraph, build_ortho_graph
 from bks5.coloring import (ColoringResult, InstanceError, KSInstance,
                            check_colorable, count_colorings, export_cnf,
                            verify_coloring)
@@ -401,3 +401,95 @@ class TestAgainstReference:
         assert len(results) == 16
         assert (sum(r.nodes for r in results),
                 sum(r.propagations for r in results)) == (11792, 8192)
+
+
+# ------------------------------------------------------------------ oracle
+# The DIMACS export as it stood when the pair clauses came from probing
+# every pair of ``combinations(ray_ids, 2)`` in the adjacency bitmasks.
+# ``export_cnf`` must reproduce its text byte for byte.
+
+def _reference_export_cnf(inst: KSInstance) -> str:
+    """The pair-probing export, kept as an oracle for ``export_cnf``."""
+    pos, rows = inst.graph.position, inst.graph.rows
+    pairs = [(a, b) for a, b in combinations(inst.ray_ids, 2)
+             if (rows[pos[a]] >> pos[b]) & 1]
+    var = {rid: i + 1 for i, rid in enumerate(inst.ray_ids)}
+    lines = ["c var %d = ray %d" % (var[rid], rid) for rid in inst.ray_ids]
+    lines.append("p cnf %d %d" % (len(inst.ray_ids),
+                                  len(pairs) + len(inst.bases)))
+    for a, b in pairs:
+        lines.append("-%d -%d 0" % (var[a], var[b]))
+    for ids in inst.bases:
+        lines.append(" ".join(str(var[rid]) for rid in ids) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+class TestExportAgainstReference:
+    """The CNF text and the pair list against pair-by-pair probing."""
+
+    def test_random_subfamilies_match_reference(self, ortho_graph,
+                                                all_bases):
+        """1 to 5 distinct bases of the 661: what varies between draws is
+        which rays are involved, and with them the variable numbering; the
+        full 160-ray families are compared below."""
+        rng = random.Random(20261019)
+        sizes = set()
+        for _ in range(1000):
+            inst = KSInstance.build(
+                ortho_graph, rng.sample(all_bases, rng.randint(1, 5)))
+            expected = _reference_export_cnf(inst)
+            assert export_cnf(inst) == expected, inst.bases
+            sizes.add(len(inst.ray_ids))
+        assert min(sizes) == 32 and max(sizes) >= 110
+
+    @pytest.mark.parametrize("selection", [
+        "empty", "repeated", "mermin", "proof", "blocks", "all"])
+    def test_fixed_families_match_reference(self, selection, ortho_graph,
+                                            proof_bases, block_bases,
+                                            all_bases, mermin_table):
+        if selection == "mermin":
+            table, contexts = mermin_table
+            inst = KSInstance.build(build_ortho_graph(table), contexts)
+        else:
+            bases = {"empty": [], "repeated": [proof_bases[3]] * 3,
+                     "proof": proof_bases, "blocks": block_bases,
+                     "all": all_bases}[selection]
+            inst = KSInstance.build(ortho_graph, bases)
+        assert export_cnf(inst) == _reference_export_cnf(inst)
+
+    def test_ids_out_of_position_order(self):
+        """Variables follow sorted ray ids, not graph positions.
+
+        Positions 0..5 hold ids 7, 3, 11, 5, 2, 4; the edges (by id) are
+        7-3, 3-11, 11-5, 5-2, 2-7, 3-2 and 4-7, and ray 4 is in no basis,
+        so its bits in the rows must not produce a clause.
+        """
+        ids = (7, 3, 11, 5, 2, 4)
+        edges = [(7, 3), (3, 11), (11, 5), (5, 2), (2, 7), (3, 2), (4, 7)]
+        at = {rid: i for i, rid in enumerate(ids)}
+        rows = [0] * len(ids)
+        for a, b in edges:
+            rows[at[a]] |= 1 << at[b]
+            rows[at[b]] |= 1 << at[a]
+        graph = OrthoGraph(ids=ids, rows=tuple(rows), dim=2)
+        inst = KSInstance.build(graph, [(11, 5), (7, 3), (2, 5), (3, 2)])
+        assert inst.ortho_pairs == ((2, 3), (2, 5), (2, 7), (3, 7), (3, 11),
+                                    (5, 11))
+        text = export_cnf(inst)
+        assert text == _reference_export_cnf(inst)
+        assert text == ("c var 1 = ray 2\n"
+                        "c var 2 = ray 3\n"
+                        "c var 3 = ray 5\n"
+                        "c var 4 = ray 7\n"
+                        "c var 5 = ray 11\n"
+                        "p cnf 5 10\n"
+                        "-1 -2 0\n"
+                        "-1 -3 0\n"
+                        "-1 -4 0\n"
+                        "-2 -4 0\n"
+                        "-2 -5 0\n"
+                        "-3 -5 0\n"
+                        "3 5 0\n"
+                        "2 4 0\n"
+                        "1 3 0\n"
+                        "1 2 0\n")

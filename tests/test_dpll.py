@@ -1,6 +1,7 @@
 """Tests for the DIMACS parser and the generic DPLL cross-checker."""
 import itertools
 import random
+import re
 
 import pytest
 
@@ -59,6 +60,18 @@ class TestParseDimacs:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("clauses, bad", [
+        ([(3,), (2,)], "clause 0 (3,): literal 3"),
+        ([(3,), (-2,)], "clause 0 (3,): literal 3"),
+        ([(1, 2), (-1, -3)], "clause 1 (-1, -3): literal -3"),
+        ([(1,), (2, 0, 1)], "clause 1 (2, 0, 1): literal 0"),
+    ], ids=["beyond-n", "beyond-n-then-negative", "below-minus-n", "zero"])
+    def test_out_of_range_literal_rejected(self, clauses, bad):
+        """Literal n + 1 must not land in the slot of -n."""
+        with pytest.raises(ValueError, match=re.escape(bad)
+                           + r" out of range ±1\.\.2$"):
+            dpll.solve(2, clauses)
+
     def test_trivially_sat(self):
         result = dpll.solve(2, [(1,), (-2,)])
         assert result.satisfiable is True
@@ -339,3 +352,179 @@ class TestPinnedCounters:
         result = dpll.solve(*dpll.parse_dimacs(export_cnf(inst)))
         assert (result.satisfiable, result.nodes, result.propagations) == (
             False, nodes, propagations)
+
+
+# ------------------------------------------------------------------ oracle
+# The parser as it stood when every line after the problem line was split
+# and converted token by token.  ``parse_dimacs`` must return the same
+# clauses, or raise the same message, on every text.
+
+def _reference_parse_dimacs(text: str):
+    """The per-line parser, kept as an oracle for ``parse_dimacs``."""
+    nvars = None
+    nclauses = None
+    clauses = []
+    cur = []
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if nvars is not None:
+                raise ValueError("line %d: second problem line %r"
+                                 % (number, raw))
+            parts = line.split()
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not (parts[2].isdecimal() and parts[3].isdecimal())):
+                raise ValueError("line %d: malformed problem line: %r"
+                                 % (number, raw))
+            nvars, nclauses = int(parts[2]), int(parts[3])
+            continue
+        if nvars is None:
+            raise ValueError("line %d: clause before the problem line"
+                             % number)
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ValueError("line %d: %r is not an integer literal"
+                                 % (number, tok)) from None
+            if lit == 0:
+                clauses.append(tuple(cur))
+                cur = []
+            elif -nvars <= lit <= nvars:
+                cur.append(lit)
+            else:
+                raise ValueError("line %d: literal %d out of range 1..%d"
+                                 % (number, lit, nvars))
+    if cur:
+        raise ValueError("unterminated final clause")
+    if nvars is None:
+        raise ValueError("missing problem line")
+    if len(clauses) != nclauses:
+        raise ValueError("problem line promises %d clauses, found %d"
+                         % (nclauses, len(clauses)))
+    return nvars, clauses
+
+
+def _parse_outcome(parse, text):
+    """The parse result, or the message of the ValueError it raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Each outcome, by a fragment of its message; "parsed" is no error.
+PARSE_OUTCOMES = {
+    "clause before the problem line": "before", "second problem line":
+    "second", "malformed problem line": "malformed", "is not an integer":
+    "token", "out of range": "range", "unterminated": "unterminated",
+    "missing problem line": "missing", "promises": "count"}
+
+FILLER_LINES = ("", "  ", "\t", "c", "c a comment", "  c indented comment",
+                "\tc 1 2 0 in a comment", "cnf-like comment")
+
+
+def _random_dimacs(rng) -> str:
+    """A small seeded DIMACS text, well formed or with one flaw of a kind.
+
+    Clauses are laid out several to a line or across lines, with indented
+    lines, spaces and tabs, and blank and comment lines on either side of
+    the problem line; literals are sometimes written with a plus sign or a
+    leading zero.  The flaw, if any, is one error of each kind the parser
+    reports, placed at random.
+    """
+    nvars = rng.randint(1, 9)
+    flaw = rng.choice((None,) * 7 + tuple(PARSE_OUTCOMES.values()))
+    clauses = [[rng.choice((-1, 1)) * rng.randint(1, nvars)
+                for _ in range(rng.randint(0 if rng.random() < 0.05 else 1,
+                                           4))]
+               for _ in range(rng.randint(1 if flaw == "unterminated" else 0,
+                                          9))]
+    if flaw == "unterminated" and not clauses[-1]:
+        clauses[-1].append(1)
+    tokens = []
+    for cl in clauses:
+        for lit in cl:
+            roll = rng.random()
+            tokens.append("+%d" % lit if roll < 0.05 and lit > 0 else
+                          "0%d" % lit if roll < 0.1 and lit > 0 else
+                          str(lit))
+        tokens.append("0")
+    if flaw == "unterminated":
+        tokens.pop()
+    elif flaw in ("token", "range"):
+        bad = (rng.choice(("x", "1.5", "--2", "c", "p", "0x1", "1-"))
+               if flaw == "token" else
+               str(rng.choice((-1, 1)) * (nvars + rng.randint(1, 3))))
+        tokens.insert(rng.randint(0, len(tokens)), bad)
+
+    lines = []
+    at = 0
+    while at < len(tokens):
+        if rng.random() < 0.25:
+            lines.append(rng.choice(FILLER_LINES))
+            continue
+        take = rng.randint(1, 5)
+        sep = rng.choice((" ", " ", "  ", "\t"))
+        lines.append(rng.choice(("", "", " ", "\t "))
+                     + sep.join(tokens[at:at + take])
+                     + rng.choice(("", "", " ")))
+        at += take
+    if flaw == "second":
+        lines.insert(rng.randint(0, len(lines)),
+                     rng.choice(("p cnf %d %d" % (nvars, len(clauses)),
+                                 " p cnf 1 1", "p")))
+
+    count = len(clauses)
+    if flaw == "count":
+        count = count + 1 if not count or rng.random() < 0.5 else count - 1
+    header = rng.choice(("p cnf {n} {m}", "p  cnf\t{n} {m}",
+                         " p cnf {n} {m} "))
+    if flaw == "malformed":
+        header = rng.choice(("p cnf {n}", "p dnf {n} {m}", "p cnf x {m}",
+                             "p cnf -{n} {m}", "p cnf {n} {m} 7", "pcnf"))
+    header = header.format(n=nvars, m=count)
+    preamble = [rng.choice(FILLER_LINES) for _ in range(rng.randint(0, 3))]
+    if flaw == "before":
+        preamble.insert(rng.randint(0, len(preamble)),
+                        rng.choice(("1 0", " -1 2 0", "0", "x")))
+    if flaw == "missing":
+        return rng.choice(("\n", "\r\n")).join(preamble)
+    text = rng.choice(("\n", "\r\n")).join(preamble + [header] + lines)
+    return text + rng.choice(("", "\n", "\n\n"))
+
+
+class TestParseAgainstReference:
+    """The bulk parser against the per-line parser, outcome for outcome."""
+
+    def test_random_texts_match_reference(self):
+        rng = random.Random(20261020)
+        seen = set()
+        for _ in range(4000):
+            text = _random_dimacs(rng)
+            expected = _parse_outcome(_reference_parse_dimacs, text)
+            assert _parse_outcome(dpll.parse_dimacs, text) == expected, text
+            seen.add("parsed" if isinstance(expected, tuple) else
+                     next(kind for part, kind in PARSE_OUTCOMES.items()
+                          if part in expected))
+        assert seen == {"parsed", *PARSE_OUTCOMES.values()}
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "c only a comment", "p cnf 0 0", "p cnf 0 0\n\n",
+        "p cnf 2 1\n1 2 0 c trailing\n", "p cnf 2 1\n1 2 0\nc\n",
+        "p cnf 2 1\n1\nc between the literals\n2 0\n",
+        "p cnf 2 1\n1 2 0\np\n", "p cnf 2 1\n1 2 0\np cnf 2 1\nx\n",
+        "p cnf 2 1\n3 x 0\n", "p cnf 2 1\nx 3 0\n",
+        "p cnf 2 1\n3 0\np cnf 2 1\n", "p cnf 2 1\n\x0c1 2 0\x0bc tail\n",
+        "p cnf 2 1\n1 2\x1f0\n", "p cnf 2 1\r\n1 2 0\u2028c x\r\n",
+        "p cnf 2 1\n\xa01 2 0\xa0\n", "p cnf 2 1\n\xa0c 1\n1 2 0\n",
+        "p cnf 2 1\n1_0 0\n", "p cnf 12 1\n1_0 0\n", "p cnf 2 1\n-0\n",
+        "p cnf 2 2\n1 0 0\n", "p cnf 2 1\n0\n1",
+        "p cnf 2 1\n1 2 0\ncnf\n", "c\np cnf 2 1\n1 2 0\npx\n",
+        "p cnf 99999999999999999999 1\n99999999999999999999 0\n",
+    ])
+    def test_edge_texts_match_reference(self, text):
+        assert _parse_outcome(dpll.parse_dimacs, text) == \
+            _parse_outcome(_reference_parse_dimacs, text)

@@ -148,6 +148,29 @@ class TestSmallGraphs:
                            match="not closed under composition"):
             automorphism_group(graph)
 
+    def test_recheck_names_the_first_broken_edge(self, monkeypatch):
+        """Two non-automorphisms slipped in among the real ones: the
+        re-check names the first of them and its first broken edge in
+        ``combinations`` order."""
+        graph = build_overlap_graph(catalog.PROOF_BASES)
+        real = symmetry._search_automorphisms(graph)
+        first = list(real[5])
+        first[3], first[4] = first[4], first[3]
+        second = list(real[0])
+        second[0], second[1] = second[1], second[0]
+        broken = [
+            next((i, j) for i, j in combinations(range(graph.n), 2)
+                 if (graph.adj[i] >> j) & 1 != (graph.adj[p[i]] >> p[j]) & 1)
+            for p in (first, second)]
+        assert broken[0] != broken[1]
+        monkeypatch.setattr(
+            symmetry, "_search_automorphisms",
+            lambda g: real[:7] + [tuple(first)] + real[7:9]
+            + [tuple(second)] + real[9:])
+        with pytest.raises(AssertionError, match=r"^claimed automorphism"
+                           r" breaks edge \(%d, %d\)$" % broken[0]):
+            automorphism_group(graph)
+
     def test_element_orders_need_a_group_table(self, monkeypatch):
         """Under a column-permuted table some powers never reach the
         identity; the order loop must stop at the group order and fail."""
