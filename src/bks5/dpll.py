@@ -7,14 +7,15 @@ literal counting from the end: the value of each literal, the implication
 list of each literal (binary clauses) and the long clauses each literal
 occurs in.  Longer clauses keep satisfied/non-falsified counters that are
 updated whenever a literal is assigned, so they always agree with the
-current assignment; the propagation loop assigns implied literals in
-place.  The search is plain DPLL with a static branching order; any
-claimed model is verified against the original clause list before being
-returned.
+current assignment.  The propagation loop hands each implication list
+to one ``assign`` call, which sets its literals in place.  The search is
+plain DPLL with a static branching order; any claimed model is verified
+against the original clause list before being returned.
 """
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, pairwise
 from operator import not_
@@ -133,9 +134,12 @@ def solve(nvars: int, clauses) -> DpllResult:
     have one slot per literal, so literal nvars + 1 would otherwise share
     the slot of -nvars.
     """
+    # Each literal's occurrence count: the branching score, and its keys
+    # are the distinct literals to range-check.
+    score = Counter(chain.from_iterable(clauses))
     valid = set(range(-nvars, nvars + 1))
     valid.discard(0)
-    if not valid.issuperset(chain.from_iterable(clauses)):
+    if not valid.issuperset(score):
         index, cl, lit = next((index, cl, lit)
                               for index, cl in enumerate(clauses)
                               for lit in cl if lit not in valid)
@@ -179,50 +183,67 @@ def solve(nvars: int, clauses) -> DpllResult:
     pending = []
     nodes = propagations = 0
 
-    def assign(lit: int) -> bool:
-        """Make the unassigned ``lit`` true; False if a clause is falsified."""
-        value[lit] = 1
-        value[-lit] = -1
-        trail.append(lit)
-        for ci in occ[lit]:
-            satc[ci] += 1
-        ok = True
-        for ci in occ[-lit]:
-            left = nf[ci] - 1
-            nf[ci] = left
-            if left < 2 and not satc[ci]:
-                if left:
-                    pending.append(ci)
-                else:
-                    ok = False
-        return ok
+    def assign(lits) -> int:
+        """Make each literal of ``lits`` true in turn; a true one is skipped.
+
+        Returns the position of the first literal that is false or that
+        falsifies a clause, or -1.  Values only go from unassigned to set
+        during a call, so an earlier copy of that literal would have ended
+        the call or made it true: its first occurrence is its position.  A
+        literal that falsifies a clause is still fully assigned, so that
+        ``undo`` restores its counters.
+        """
+        for lit in lits:
+            v = value[lit]
+            if v > 0:
+                continue
+            if v:
+                return lits.index(lit)
+            value[lit] = 1
+            value[-lit] = -1
+            trail.append(lit)
+            for ci in occ[lit]:
+                satc[ci] += 1
+            ok = True
+            for ci in occ[-lit]:
+                left = nf[ci] - 1
+                nf[ci] = left
+                if left < 2 and not satc[ci]:
+                    if left:
+                        pending.append(ci)
+                    else:
+                        ok = False
+            if not ok:
+                return lits.index(lit)
+        return -1
 
     def drain(head: int) -> int:
         """Process trail implications and pending long-clause units.
 
-        Returns the new trail head, or -1 on a conflict.
+        Trail literals are taken in trail order, each batch being those
+        added since the last.  Each one's implication list is assigned in
+        one call and counts one propagation per literal, up to and
+        including a conflict.  Returns the new trail head, or -1 on a
+        conflict.
         """
         nonlocal propagations
         while True:
             if head < len(trail):
-                lit = trail[head]
-                head += 1
-                for forced in imp[lit]:
-                    propagations += 1
-                    v = value[forced]
-                    if v:
-                        if v < 0:
-                            return -1
-                        continue
-                    if not assign(forced):
+                new = trail[head:]
+                head = len(trail)
+                for forced in filter(None, map(imp.__getitem__, new)):
+                    at = assign(forced)
+                    if at >= 0:
+                        propagations += at + 1
                         return -1
+                    propagations += len(forced)
             elif pending:
                 ci = pending.pop()
                 if not satc[ci] and nf[ci] == 1:
                     unit = next(lit for lit in long_clauses[ci]
                                 if not value[lit])
                     propagations += 1
-                    if not assign(unit):
+                    if assign((unit,)) >= 0:
                         return -1
             else:
                 return head
@@ -238,32 +259,35 @@ def solve(nvars: int, clauses) -> DpllResult:
         pending.clear()
 
     for lit in root_units:
-        if value[lit] < 0 or (not value[lit] and not assign(lit)):
+        if assign((lit,)) >= 0:
             return DpllResult(False, None, 0, 0)
 
-    score = [0] * size
-    for cl in clauses:
-        for lit in cl:
-            score[lit] += 1
     order = sorted(range(1, nvars + 1), key=lambda v: -score[v] - score[-v])
 
-    def search(head: int) -> bool:
+    def search(head: int, start: int) -> bool:
+        """Decide the subtree below the trail from ``head`` on.
+
+        Every variable before position ``start`` of ``order`` is assigned:
+        the parent branched on the first one that was not.
+        """
         nonlocal nodes
         nodes += 1
         head = drain(head)
         if head < 0:
             return False
-        var = next((v for v in order if not value[v]), None)
-        if var is None:
+        pos = next((pos for pos in range(start, nvars)
+                    if not value[order[pos]]), None)
+        if pos is None:
             return True
+        var = order[pos]
         mark = len(trail)
         for lit in (var, -var):
-            if assign(lit) and search(mark):
+            if assign((lit,)) < 0 and search(mark, pos):
                 return True
             undo(mark)
         return False
 
-    satisfiable = search(0)
+    satisfiable = search(0, 0)
     # ``search`` holds itself through its closure cell; clearing the cell
     # frees the clause index now instead of at the next cyclic collection.
     del search

@@ -105,10 +105,17 @@ def is_symmetric(p: PauliOp) -> bool:
 
 
 def pauli_to_matrix(p: PauliOp) -> np.ndarray:
-    """The 2^n x 2^n integer matrix realization (entries in {-1, 0, +1})."""
+    """The 2^n x 2^n integer matrix realization (entries in {-1, 0, +1}).
+
+    The Kronecker product is built one factor at a time by broadcasting:
+    entry (i, k, j, l) of ``m[:, None, :, None] * f[None, :, None, :]`` is
+    m[i, j] f[k, l], which the reshape puts at row 2i + k, column 2j + l.
+    """
     m = np.array([[p.sign]], dtype=np.int64)
     for ch in p.spec:
-        m = np.kron(m, _FACTORS[ch])
+        f = _FACTORS[ch]
+        size = 2 * len(m)
+        m = (m[:, None, :, None] * f[None, :, None, :]).reshape(size, size)
     return m
 
 

@@ -42,6 +42,12 @@ def canonical_entries(entries) -> tuple:
     raise AssertionError("unreachable")
 
 
+# The entry each character of a ray string stands for; these three values
+# are the only entries a ray may have.
+_ENTRY_OF = {"+": 1, "-": -1, "0": 0}
+_ENTRIES = frozenset(_ENTRY_OF.values())
+
+
 @dataclass(frozen=True)
 class Ray:
     """A sign-canonical integer ray, optionally carrying its table id."""
@@ -50,12 +56,12 @@ class Ray:
     id: int | None = None
 
     def __post_init__(self):
-        if any(e not in (-1, 0, 1) for e in self.entries):
+        if not _ENTRIES.issuperset(self.entries):
             raise ValueError("entries must lie in {-1, 0, +1}")
-        nz = [e for e in self.entries if e]
-        if not nz:
+        lead = next(filter(None, self.entries), 0)
+        if not lead:
             raise ValueError("zero vector has no ray")
-        if nz[0] != 1:
+        if lead != 1:
             raise ValueError("ray is not sign-canonical")
 
     @property
@@ -68,7 +74,15 @@ class Ray:
 
     @classmethod
     def from_string(cls, s: str, id: int | None = None) -> "Ray":
-        return cls(tuple({"+": 1, "-": -1, "0": 0}[ch] for ch in s), id)
+        """Parse ``to_string`` output; any other character is named."""
+        try:
+            entries = tuple(map(_ENTRY_OF.__getitem__, s))
+        except KeyError:
+            pos, ch = next((pos, ch) for pos, ch in enumerate(s)
+                           if ch not in _ENTRY_OF)
+            raise ValueError("invalid entry %r at position %d (want +, - or 0)"
+                             % (ch, pos)) from None
+        return cls(entries, id)
 
 
 def partner(r: Ray) -> Ray:
@@ -97,6 +111,9 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
     an independent realisation.
     """
     ops = list(cset.ops)
+    if not ops:
+        raise ValueError("set %s is empty: need at least one operator"
+                         % cset.label)
     n = ops[0].n
     dim = 1 << n
     if len(ops) != n:
@@ -161,8 +178,17 @@ class RayTable:
 
     @cached_property
     def _partner_ids(self) -> dict:
+        """Every partner id, read from one flipped entries matrix.
+
+        Each row reversed and negated is made sign-canonical as ``partner``
+        does; entries in {-1, 0, +1} already have content 1.
+        """
+        flipped = -self.entries_matrix()[:, ::-1]
+        lead = flipped[np.arange(len(flipped)), (flipped != 0).argmax(axis=1)]
+        flipped *= lead[:, None]
         index = {r.entries: r.id for r in self.rays}
-        return {r.id: index[partner(r).entries] for r in self.rays}
+        return {r.id: index[entries]
+                for r, entries in zip(self.rays, map(tuple, flipped.tolist()))}
 
     def block_of(self, ray_id: int) -> str:
         for label, (lo, hi) in self.block_map.items():

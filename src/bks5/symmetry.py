@@ -139,12 +139,23 @@ def _check_automorphism(g: OverlapGraph, perms: list):
                              % (i, j))
 
 
-def _preserves_weights(g: OverlapGraph, perm: tuple) -> bool:
-    for (i, j), w in g.weights.items():
-        a, b = perm[i], perm[j]
-        if g.weights.get((min(a, b), max(a, b))) != w:
-            return False
-    return True
+def _weighted_order(g: OverlapGraph, perms: list) -> int:
+    """How many of ``perms`` also preserve every edge weight.
+
+    The weight matrix is seen through all permutations at once, as
+    ``_check_automorphism`` sees the adjacency, but by two row gathers:
+    ``W[P]`` permutes each copy's rows, and gathering the rows of its
+    transpose by ``P`` again gives ``W[p[a], p[b]]`` at (b, a).  Weights
+    are held in the smallest unsigned type that fits them, and no index
+    array larger than ``P`` is built.
+    """
+    W = np.zeros((g.n, g.n),
+                 dtype=np.min_scalar_type(max(g.weights.values(), default=0)))
+    i, j = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2).T
+    W[i, j] = W[j, i] = list(g.weights.values())
+    P = np.array(perms, dtype=np.intp).reshape(len(perms), g.n)
+    seen = W[P].transpose(0, 2, 1)[np.arange(len(P))[:, None], P]
+    return int((seen == W).all(axis=(1, 2)).sum())
 
 
 @dataclass(frozen=True)
@@ -321,13 +332,11 @@ def automorphism_group(g: OverlapGraph) -> AutGroupReport:
         assigned |= orbit
         orbit_sets.append(tuple(sorted(g.labels[w] for w in orbit)))
 
-    weighted = sum(1 for p in elements if _preserves_weights(g, p))
-
     return AutGroupReport(
         order=size,
         generators=tuple(elements[a] for a in gens),
         orbits=tuple(orbit_sets),
-        weighted_order=weighted,
+        weighted_order=_weighted_order(g, elements),
         element_order_census=census,
         conjugacy_class_count=len(reps),
         normal_ea_order=best_ea,

@@ -337,6 +337,33 @@ class TestAgainstReference:
         assert dpll.solve(3, clauses) == _reference_solve(3, clauses)
 
 
+class TestBasisFamiliesAgainstReference:
+    """Exported KS instances against the oracle, counters included.
+
+    These have the real shapes: one positive clause per basis, 32 literals
+    wide, and a negative binary clause per orthogonal pair, thousands of
+    them.  Small subfamilies are satisfiable after a short search.  The
+    proof minus basis 13 or 17 (0-based) still covers its rays and is
+    refuted in over 1,200 nodes; minus basis 19 it is satisfiable.
+    """
+
+    def test_seeded_small_subfamilies(self, ortho_graph, all_bases):
+        rng = random.Random(1414)
+        for _ in range(60):
+            bases = rng.sample(all_bases, rng.randint(1, 4))
+            nvars, clauses = dpll.parse_dimacs(
+                export_cnf(KSInstance.build(ortho_graph, bases)))
+            assert dpll.solve(nvars, clauses) == _reference_solve(
+                nvars, clauses), bases
+
+    @pytest.mark.parametrize("dropped", [13, 17, 19])
+    def test_proof_minus_one_basis(self, ortho_graph, proof_bases, dropped):
+        bases = proof_bases[:dropped] + proof_bases[dropped + 1:]
+        nvars, clauses = dpll.parse_dimacs(
+            export_cnf(KSInstance.build(ortho_graph, bases)))
+        assert dpll.solve(nvars, clauses) == _reference_solve(nvars, clauses)
+
+
 class TestPinnedCounters:
     """Verdict and work counters of the exported KS instances."""
 

@@ -1,4 +1,5 @@
 """Tests for the signed real Pauli algebra."""
+import itertools
 import random
 
 import numpy as np
@@ -8,6 +9,14 @@ from bks5.pauli import (CommutingSet, PauliOp, apply_pauli, commutes,
                         is_symmetric, make_pauli, pauli_mul, pauli_to_matrix,
                         set_product, verify_magic)
 from bks5.rays import magic_configuration
+
+# The four single-qubit factors, written out independently of the module.
+FACTORS = {
+    "I": np.array([[1, 0], [0, 1]], dtype=np.int64),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.int64),
+    "Y": np.array([[0, -1], [1, 0]], dtype=np.int64),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.int64),
+}
 
 
 class TestMakePauli:
@@ -77,6 +86,19 @@ class TestMatrixOracle:
                            dtype=np.int64)
             assert np.array_equal(apply_pauli(op, vec),
                                   pauli_to_matrix(op) @ vec)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matrix_is_kron_fold(self, n):
+        """Every spec on up to three qubits, both signs, against np.kron."""
+        for letters in itertools.product("IXYZ", repeat=n):
+            for sign in (1, -1):
+                op = make_pauli("".join(letters), sign=sign)
+                want = np.array([[sign]], dtype=np.int64)
+                for ch in letters:
+                    want = np.kron(want, FACTORS[ch])
+                got = pauli_to_matrix(op)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), op
 
     def test_real_y_squares_to_minus_identity(self):
         y = make_pauli("Y")

@@ -53,6 +53,10 @@ class TestJointEigenrays:
         with pytest.raises(ValueError, match="independent"):
             joint_eigenrays(CommutingSet("dep", ops))
 
+    def test_empty_set_raises(self):
+        with pytest.raises(ValueError, match="at least one operator"):
+            joint_eigenrays(CommutingSet("empty", ()))
+
     def test_non_symmetric_operator_raises(self):
         ops = (make_pauli("YI"), make_pauli("IZ"))
         with pytest.raises(ValueError, match="symmetric"):
@@ -178,6 +182,13 @@ class TestPartner:
         r = Ray((0, 1, 0, -1))
         assert partner(r).entries == (1, 0, -1, 0)
 
+    def test_partner_ids_match_partner(self, ray_table):
+        """The table's partner ids against ``partner`` ray by ray."""
+        index = {r.entries: r.id for r in ray_table.rays}
+        for rid in range(1, 161):
+            assert ray_table.partner_id(rid) == \
+                index[partner(ray_table[rid]).entries]
+
 
 def _small_table(block_map, *rays):
     """A hand-built table over R^4; ``rays`` are entry tuples in id order."""
@@ -254,6 +265,14 @@ class TestRayValidation:
         for rid in (1, 33, 65, 97, 129, 160):
             r = ray_table[rid]
             assert Ray.from_string(r.to_string()).entries == r.entries
+
+    @pytest.mark.parametrize("text, bad", [
+        ("+x0", "'x' at position 1"), ("0 +", "' ' at position 1"),
+        ("+-0+1", "'1' at position 4"),
+    ])
+    def test_from_string_names_bad_character(self, text, bad):
+        with pytest.raises(ValueError, match="invalid entry " + bad):
+            Ray.from_string(text)
 
 
 class TestIdentifyBlock:

@@ -183,6 +183,48 @@ class TestSmallGraphs:
             automorphism_group(graph)
 
 
+def _reference_weighted_order(g) -> int:
+    """The per-permutation weight loop, kept as an oracle for
+    ``AutGroupReport.weighted_order``."""
+    def preserves_weights(perm):
+        for (i, j), w in g.weights.items():
+            a, b = perm[i], perm[j]
+            if g.weights.get((min(a, b), max(a, b))) != w:
+                return False
+        return True
+    return sum(1 for p in symmetry._all_automorphisms(g)
+               if preserves_weights(p))
+
+
+class TestWeightedOrder:
+    """The weight-preserving subgroup against the per-permutation loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relabelled_proof_graphs(self, seed):
+        rng = random.Random(seed)
+        keys = sorted(catalog.PROOF_BASES)
+        labels = keys[:]
+        rng.shuffle(labels)
+        graph = build_overlap_graph(
+            {label: catalog.PROOF_BASES[k] for label, k in zip(labels, keys)})
+        assert automorphism_group(graph).weighted_order == \
+            _reference_weighted_order(graph)
+
+    @pytest.mark.parametrize("bases, order, weighted", [
+        ({1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (4, 1)}, 8, 8),
+        ({1: (1, 2, 3), 2: (2, 3, 4), 3: (4, 5), 4: (5, 1)}, 8, 2),
+        ({1: (1, 2, 5), 2: (2, 3, 5), 3: (3, 4, 6), 4: (4, 1, 6)}, 8, 4),
+        ({k: (0, k) for k in range(1, 5)}, 24, 24),
+        ({}, 1, 1),
+    ], ids=["C4", "C4-one-heavy-edge", "C4-opposite-heavy-edges", "K4",
+            "empty"])
+    def test_small_weighted_graphs(self, bases, order, weighted):
+        graph = build_overlap_graph(bases)
+        report = automorphism_group(graph)
+        assert (report.order, report.weighted_order) == (order, weighted)
+        assert report.weighted_order == _reference_weighted_order(graph)
+
+
 class TestMultiplicationTable:
     """Integer base keys against a dict of whole permutation tuples."""
 
