@@ -3,11 +3,13 @@
 A basis is a clique of pairwise-orthogonal rays whose size equals the
 ambient dimension; such a clique is automatically a complete orthogonal
 basis because nonzero pairwise-orthogonal vectors are linearly
-independent.  Enumeration is exact: a Bron-Kerbosch search with a Tomita
-pivot over P|X, pruned by a greedy-colouring bound (Tomita & Seki's MCQ):
-the candidates P are split greedily into independent sets, a clique takes
-at most one vertex from each, so a node whose P has fewer colour classes
-than the vertices still needed cannot reach the target size and is cut.
+independent.  Enumeration is exact: ``maximal_cliques`` is a
+Bron-Kerbosch search with a Tomita pivot over P|X, pruned by a
+greedy-colouring bound (Tomita & Seki's MCQ): the candidates P are split
+greedily into independent sets, a clique takes at most one vertex from
+each, so a node whose P has fewer colour classes than the vertices still
+needed cannot reach the minimum size and is cut.  The same search and the
+bit-row packer serve every bitmask relation in the package.
 """
 from __future__ import annotations
 
@@ -54,10 +56,19 @@ def build_ortho_graph(table: RayTable) -> OrthoGraph:
     positive norm, so none is its own neighbour.
     """
     entries = table.entries_matrix()
-    zero = np.packbits(entries @ entries.T == 0, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in zero)
-    return OrthoGraph(ids=tuple(r.id for r in table.rays), rows=rows,
+    return OrthoGraph(ids=tuple(r.id for r in table.rays),
+                      rows=pack_rows(entries @ entries.T == 0),
                       dim=entries.shape[1])
+
+
+def pack_rows(matrix) -> tuple:
+    """Bitmask rows of a 0/1 matrix: bit j of row i is entry (i, j).
+
+    The inverse of ``unpack_rows``.
+    """
+    packed = np.packbits(np.asarray(matrix, dtype=bool), axis=1,
+                         bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def unpack_rows(rows, n: int) -> np.ndarray:
@@ -69,23 +80,18 @@ def unpack_rows(rows, n: int) -> np.ndarray:
                          bitorder="little")
 
 
-def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
-    """All cliques of size ``graph.dim``, as sorted id tuples in sorted order.
+def maximal_cliques(rows, min_size: int = 0) -> list[list]:
+    """Every maximal clique with at least ``min_size`` vertices.
 
-    The output order is canonical: it depends only on the orthogonality
-    relation and the ids, not on the vertex ordering used during the
-    search.
+    ``rows[v]`` is the neighbour bitmask of vertex v, without v itself.
+    Each clique is a list of vertex positions in the order the search
+    added them; the cliques come in search order.
     """
-    rows = graph.rows
-    target = graph.dim
-    full = (1 << graph.n) - 1
+    full = (1 << len(rows)) - 1
     found = []
 
     def extend(r_count: int, r_vertices: list, p: int, x: int):
-        if r_count == target:
-            found.append(tuple(r_vertices))
-            return
-        need = target - r_count
+        need = min_size - r_count
         classes = 0
         uncoloured = p
         while uncoloured and classes < need:
@@ -97,7 +103,12 @@ def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
                 q &= ~(rows[bit.bit_length() - 1] | bit)
         if classes < need:
             return
+        # The leaf test follows the bound: a maximal clique that is too
+        # small has no candidates left, so the bound has already cut it.
         px = p | x
+        if not px:
+            found.append(r_vertices[:])
+            return
         pivot = -1
         best = -1
         m = px
@@ -118,16 +129,26 @@ def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
             r_vertices.pop()
             p &= ~bit
             x |= bit
-        return
 
     extend(0, [], full, 0)
     # ``extend`` reaches ``found`` and itself through its closure cells;
     # clearing its own cell frees them on return, not at the next
     # cyclic collection.
     del extend
-    bases = sorted(tuple(sorted(graph.ids[v] for v in clique))
-                   for clique in found)
-    return bases
+    return found
+
+
+def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
+    """All cliques of size ``graph.dim``, as sorted id tuples in sorted order.
+
+    No clique of an orthogonality graph is larger than the dimension, so
+    its maximal cliques of at least ``dim`` rays are exactly the complete
+    bases.  The output order is canonical: it depends only on the
+    orthogonality relation and the ids, not on the vertex ordering used
+    during the search.
+    """
+    return sorted(tuple(sorted(graph.ids[v] for v in clique))
+                  for clique in maximal_cliques(graph.rows, graph.dim))
 
 
 def contains_basis(bases, candidate) -> bool:

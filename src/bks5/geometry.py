@@ -89,6 +89,8 @@ class GF2Subspace:
 def span(ops) -> GF2Subspace:
     """Span of the points of the given operators."""
     ops = list(ops)
+    if not ops:
+        raise ValueError("span of no operators: need at least one operator")
     n = ops[0].n
     return GF2Subspace.span_of([pauli_to_point(op) for op in ops], 2 * n)
 

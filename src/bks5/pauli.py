@@ -162,6 +162,9 @@ class CommutingSet:
 def set_product(cset: CommutingSet) -> PauliOp:
     """Product of the set's operators, in listed order, with exact sign."""
     ops = list(cset.ops)
+    if not ops:
+        raise ValueError("set %s is empty: need at least one operator"
+                         % cset.label)
     acc = ops[0]
     for op in ops[1:]:
         acc = pauli_mul(acc, op)

@@ -181,14 +181,16 @@ class RayTable:
         """Every partner id, read from one flipped entries matrix.
 
         Each row reversed and negated is made sign-canonical as ``partner``
-        does; entries in {-1, 0, +1} already have content 1.
+        does; entries in {-1, 0, +1} already have content 1.  A ray whose
+        partner is not in the table has no entry.
         """
         flipped = -self.entries_matrix()[:, ::-1]
         lead = flipped[np.arange(len(flipped)), (flipped != 0).argmax(axis=1)]
         flipped *= lead[:, None]
         index = {r.entries: r.id for r in self.rays}
         return {r.id: index[entries]
-                for r, entries in zip(self.rays, map(tuple, flipped.tolist()))}
+                for r, entries in zip(self.rays, map(tuple, flipped.tolist()))
+                if entries in index}
 
     def block_of(self, ray_id: int) -> str:
         for label, (lo, hi) in self.block_map.items():
@@ -278,7 +280,9 @@ def _validate_table(table: RayTable):
                 "rays %d and %d of block %s are not orthogonal"
                 % (i, j, label))
     for r in table.rays:
-        pid = table.partner_id(r.id)
+        pid = table._partner_ids.get(r.id)
+        if pid is None:
+            raise RayTableError("partner of ray %d is not in the table" % r.id)
         if table.block_of(pid) != table.block_of(r.id):
             raise RayTableError(
                 "partner of ray %d falls outside its block" % r.id)

@@ -8,8 +8,8 @@ fast at this scale.  The group structure summary (largest normal
 elementary-abelian 2-subgroup and the quotient) is computed by array
 indexing into a numpy multiplication table: a subgroup generated by a
 union of conjugacy classes of commuting involutions is automatically
-normal and elementary abelian, so the maximum is found by a clique search
-over involution classes.
+normal and elementary abelian, so the maximum is found by the clique
+search of ``bases`` over involution classes.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bases import unpack_rows
+from .bases import maximal_cliques, pack_rows, unpack_rows
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,9 @@ def _all_automorphisms(g: OverlapGraph) -> list:
 def _search_automorphisms(g: OverlapGraph) -> list:
     """Backtracking over candidate bitmasks; image tuples in search order."""
     n = g.n
-    colors = _refine_colors(g)
+    colors = np.array(_refine_colors(g))
     full = (1 << n) - 1
-    base_cand = []
-    for v in range(n):
-        mask = 0
-        for w in range(n):
-            if colors[w] == colors[v]:
-                mask |= 1 << w
-        base_cand.append(mask)
+    base_cand = pack_rows(colors[:, None] == colors[None, :])
     order = sorted(range(n), key=lambda v: (base_cand[v].bit_count(), v))
     found = []
 
@@ -123,16 +117,27 @@ def _search_automorphisms(g: OverlapGraph) -> list:
     return found
 
 
+def _seen_through(M: np.ndarray, perms: list) -> np.ndarray:
+    """A symmetric matrix seen through each permutation at once.
+
+    Entry (k, a, b) is ``M[p[a], p[b]]`` for the k-th permutation p, by
+    two row gathers: ``M[P]`` permutes each copy's rows, and gathering the
+    rows of its transpose by ``P`` again gives ``M[p[b], p[a]]`` at
+    (a, b).  No index array larger than ``P`` is built.
+    """
+    P = np.array(perms, dtype=np.intp).reshape(len(perms), len(M))
+    return M[P].transpose(0, 2, 1)[np.arange(len(P))[:, None], P]
+
+
 def _check_automorphism(g: OverlapGraph, perms: list):
     """Re-check every permutation against the adjacency alone.
 
-    ``A[P[:, :, None], P[:, None, :]]`` is the adjacency seen through each
-    permutation.  A mismatch in the strict upper triangle names the first
-    bad permutation and its first bad edge in ``combinations`` order.
+    A mismatch in the strict upper triangle of the adjacency seen through
+    each permutation names the first bad permutation and its first bad
+    edge in ``combinations`` order.
     """
     A = unpack_rows(g.adj, g.n)
-    P = np.array(perms, dtype=np.intp).reshape(len(perms), g.n)
-    bad = np.triu(A[P[:, :, None], P[:, None, :]] != A, 1)
+    bad = np.triu(_seen_through(A, perms) != A, 1)
     if bad.any():
         i, j = np.argwhere(bad[bad.any(axis=(1, 2)).argmax()])[0]
         raise AssertionError("claimed automorphism breaks edge (%d, %d)"
@@ -143,19 +148,14 @@ def _weighted_order(g: OverlapGraph, perms: list) -> int:
     """How many of ``perms`` also preserve every edge weight.
 
     The weight matrix is seen through all permutations at once, as
-    ``_check_automorphism`` sees the adjacency, but by two row gathers:
-    ``W[P]`` permutes each copy's rows, and gathering the rows of its
-    transpose by ``P`` again gives ``W[p[a], p[b]]`` at (b, a).  Weights
-    are held in the smallest unsigned type that fits them, and no index
-    array larger than ``P`` is built.
+    ``_check_automorphism`` sees the adjacency.  Weights are held in the
+    smallest unsigned type that fits them.
     """
     W = np.zeros((g.n, g.n),
                  dtype=np.min_scalar_type(max(g.weights.values(), default=0)))
     i, j = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2).T
     W[i, j] = W[j, i] = list(g.weights.values())
-    P = np.array(perms, dtype=np.intp).reshape(len(perms), g.n)
-    seen = W[P].transpose(0, 2, 1)[np.arange(len(P))[:, None], P]
-    return int((seen == W).all(axis=(1, 2)).sum())
+    return int((_seen_through(W, perms) == W).all(axis=(1, 2)).sum())
 
 
 @dataclass(frozen=True)
@@ -291,13 +291,16 @@ def automorphism_group(g: OverlapGraph) -> AutGroupReport:
 
     # Any pairwise-commuting union of involution classes generates an
     # elementary-abelian normal subgroup, and closure is monotone, so the
-    # maximum is attained at a maximal compatible union.  Cliques come in
-    # sorted order and only a strictly larger subgroup replaces the best,
-    # so the first of equal-size maxima is kept.
+    # maximum is attained at a maximal compatible union.  Cliques are
+    # sorted and only a strictly larger subgroup replaces the best, so the
+    # first of equal-size maxima is kept.
     usable = [ci for ci in range(len(inv_reps)) if commute[ci, ci]]
+    compatible = pack_rows(commute[np.ix_(usable, usable)]
+                           & ~np.eye(len(usable), dtype=bool))
     ea_members = closure(np.zeros(size, dtype=bool))
-    for clique in _maximal_class_cliques(usable, commute):
-        sub = closure(in_class[list(clique)].any(axis=0))
+    for clique in sorted(sorted(usable[i] for i in c)
+                         for c in maximal_cliques(compatible)):
+        sub = closure(in_class[clique].any(axis=0))
         if (orders[sub] <= 2).all() and sub.sum() > ea_members.sum():
             ea_members = sub
     best_ea = int(ea_members.sum())
@@ -344,38 +347,3 @@ def automorphism_group(g: OverlapGraph) -> AutGroupReport:
         quotient_nonabelian=nonabelian,
         closure_verified=closure_ok,
     )
-
-
-def _maximal_class_cliques(vertices, commute) -> list:
-    """Maximal pairwise-compatible subsets of ``vertices``, sorted.
-
-    ``commute[u, v]`` is the compatibility relation.  Bron-Kerbosch with a
-    Tomita pivot over P|X, on bitmasks of positions in ``vertices``, with
-    an explicit stack; each clique is a sorted tuple of vertices.
-    """
-    vertices = list(vertices)
-    nbrs = [sum(1 << j for j, u in enumerate(vertices)
-                if j != i and commute[v, u])
-            for i, v in enumerate(vertices)]
-    cliques = []
-    stack = [((), (1 << len(vertices)) - 1, 0)]
-    while stack:
-        r, p, x = stack.pop()
-        if not p | x:
-            cliques.append(tuple(sorted(vertices[i] for i in r)))
-            continue
-        pivot = max(_bits(p | x), key=lambda u: (p & nbrs[u]).bit_count())
-        for v in _bits(p & ~nbrs[pivot]):
-            stack.append((r + (v,), p & nbrs[v], x & nbrs[v]))
-            p &= ~(1 << v)
-            x |= 1 << v
-    return sorted(cliques)
-
-
-def _bits(mask: int) -> list:
-    """Positions of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out

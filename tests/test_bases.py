@@ -4,10 +4,12 @@ from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from bks5 import catalog
 from bks5.bases import (OrthoGraph, bases_sha256, build_ortho_graph,
                         contains_basis, enumerate_maximal_bases,
+                        maximal_cliques, pack_rows, unpack_rows,
                         write_bases_json, write_bases_text)
 
 
@@ -98,6 +100,15 @@ def _is_clique(rows, vertices) -> bool:
     return all((rows[a] >> b) & 1 for a, b in combinations(vertices, 2))
 
 
+def _random_rows(rng, n, density) -> list:
+    rows = [0] * n
+    for a, b in combinations(range(n), 2):
+        if rng.random() < density:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
 class TestEnumerationBruteForce:
     """The pruned search against every ``dim``-subset of small graphs."""
 
@@ -112,12 +123,7 @@ class TestEnumerationBruteForce:
             rng = random.Random(seed)
             dim = rng.randint(2, 5)
             n = rng.randint(dim, 14)
-            density = rng.uniform(0.2, 0.9)
-            rows = [0] * n
-            for a, b in combinations(range(n), 2):
-                if rng.random() < density:
-                    rows[a] |= 1 << b
-                    rows[b] |= 1 << a
+            rows = _random_rows(rng, n, rng.uniform(0.2, 0.9))
             if any(_is_clique(rows, c)
                    for c in combinations(range(n), dim + 1)):
                 continue
@@ -132,6 +138,61 @@ class TestEnumerationBruteForce:
             else:
                 empty += 1
         assert empty >= 50 and nonempty >= 50
+
+
+def _brute_force_maximal(rows, min_size=0) -> list:
+    """Maximal cliques of at least ``min_size`` vertices, from all subsets."""
+    n = len(rows)
+    cliques = [c for k in range(n + 1) for c in combinations(range(n), k)
+               if _is_clique(rows, c)]
+    return sorted(c for c in cliques
+                  if len(c) >= min_size
+                  and not any(_is_clique(rows, c + (v,))
+                              for v in range(n) if v not in c))
+
+
+class TestMaximalCliques:
+    """The shared clique search against brute force over all subsets."""
+
+    @staticmethod
+    def search(rows, min_size=0) -> list:
+        return sorted(tuple(sorted(c)) for c in maximal_cliques(rows, min_size))
+
+    def test_random_relations_match_combinations(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            rows = _random_rows(rng, rng.randint(0, 10),
+                                rng.choice([0.2, 0.5, 0.8]))
+            assert self.search(rows) == _brute_force_maximal(rows)
+
+    @pytest.mark.parametrize("min_size", range(5))
+    def test_min_size_with_larger_cliques(self, min_size):
+        """Graphs that hold cliques larger than ``min_size``, which the
+        basis oracle above skips; too-small maximal cliques are left out."""
+        rng = random.Random(min_size)
+        larger = smaller = 0
+        for _ in range(120):
+            rows = _random_rows(rng, rng.randint(min_size, 11),
+                                rng.uniform(0.4, 0.9))
+            expected = _brute_force_maximal(rows, min_size)
+            assert self.search(rows, min_size) == expected
+            larger += any(len(c) > min_size for c in expected)
+            smaller += len(expected) < len(_brute_force_maximal(rows))
+        assert larger >= 30
+        assert min_size < 2 or smaller >= 10
+
+
+class TestPackRows:
+    """``pack_rows`` inverts ``unpack_rows``, across byte boundaries."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 160])
+    def test_round_trip(self, n):
+        rng = random.Random(n)
+        rows = tuple(rng.getrandbits(n) for _ in range(n))
+        matrix = unpack_rows(rows, n)
+        assert matrix.shape == (n, n)
+        assert pack_rows(matrix) == rows
+        assert np.array_equal(unpack_rows(pack_rows(matrix == 1), n), matrix)
 
 
 class TestContainsBasis:

@@ -90,6 +90,10 @@ class TestSpans:
         ops = [make_pauli(s) for s in ["ZIIII", "IZIII", "ZZIII"]]
         assert span(ops).rank == 2
 
+    def test_no_operators_raises(self):
+        with pytest.raises(ValueError, match="at least one operator"):
+            span([])
+
 
 class TestIntersections:
     """Pairwise intersections reproduce the reference dimension table."""

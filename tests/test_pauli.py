@@ -135,6 +135,10 @@ class TestCommutingSet:
         assert prod.spec == "ZZZZZ"
         assert prod.sign == -1
 
+    def test_empty_set_product_raises(self):
+        with pytest.raises(ValueError, match="^set empty is empty"):
+            set_product(CommutingSet("empty", ()))
+
 
 class TestVerifyMagic:
     """The operator-level parity contradiction."""
@@ -158,3 +162,7 @@ class TestVerifyMagic:
         zs = CommutingSet("Z2", (make_pauli("ZI"), make_pauli("IZ")))
         with pytest.raises(ValueError):
             verify_magic([(zs, make_pauli("XX"))])
+
+    def test_empty_set_raises(self):
+        with pytest.raises(ValueError, match="^set empty is empty"):
+            verify_magic([(CommutingSet("empty", ()), make_pauli("II"))])

@@ -242,6 +242,14 @@ class TestValidateTable:
                                  "block$"):
             _validate_table(table)
 
+    def test_partner_missing_from_table(self):
+        """e1 and e2 are orthogonal, but their partners e4 and e3 are not
+        in the table."""
+        table = _small_table({"P": (1, 2)}, self.E1, self.E2)
+        with pytest.raises(RayTableError,
+                           match="^partner of ray 1 is not in the table$"):
+            _validate_table(table)
+
 
 class TestRayValidation:
     """Ray construction and canonicalization rules."""

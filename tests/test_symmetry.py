@@ -8,8 +8,8 @@ import pytest
 
 from bks5 import catalog, symmetry
 from bks5.cli import main
-from bks5.symmetry import (_maximal_class_cliques, automorphism_group,
-                           build_overlap_graph)
+from bks5.bases import unpack_rows
+from bks5.symmetry import automorphism_group, build_overlap_graph
 
 
 @pytest.fixture(scope="module")
@@ -266,32 +266,33 @@ class TestMultiplicationTable:
                                  for a in range(16)]
 
 
-class TestMaximalClassCliques:
-    """The clique search against brute force over all vertex subsets."""
+class TestSeenThrough:
+    """The two-row gather against the broadcast gather it replaced."""
 
     @staticmethod
-    def brute_force(vertices, commute):
-        def compatible(subset):
-            return all(commute[u, v] for u, v in combinations(subset, 2))
+    def broadcast(M, perms):
+        P = np.array(perms, dtype=np.intp).reshape(len(perms), len(M))
+        return M[P[:, :, None], P[:, None, :]]
 
-        cliques = [s for k in range(len(vertices) + 1)
-                   for s in combinations(vertices, k) if compatible(s)]
-        return sorted(s for s in cliques
-                      if not any(compatible(s + (v,)) for v in vertices
-                                 if v not in s))
+    def test_proof_graph(self, overlap):
+        perms = symmetry._all_automorphisms(overlap)
+        W = np.zeros((overlap.n, overlap.n), dtype=np.int64)
+        for (i, j), w in overlap.weights.items():
+            W[i, j] = W[j, i] = w
+        for M in (unpack_rows(overlap.adj, overlap.n), W):
+            assert np.array_equal(symmetry._seen_through(M, perms),
+                                  self.broadcast(M, perms))
 
-    def test_random_relations_match_combinations(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            n = rng.randint(0, 10)
-            density = rng.choice([0.2, 0.5, 0.8])
-            commute = np.zeros((n, n), dtype=bool)
-            for u, v in combinations(range(n), 2):
-                commute[u, v] = commute[v, u] = rng.random() < density
-            vertices = sorted(rng.sample(range(n), rng.randint(0, n)))
-            cliques = _maximal_class_cliques(vertices, commute)
-            assert cliques == sorted(cliques)
-            assert cliques == self.brute_force(vertices, commute)
+    def test_random_symmetric_matrices(self):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 2, 5, 9, 21):
+            for _ in range(5):
+                M = rng.integers(0, 4, size=(n, n))
+                M = M + M.T
+                perms = [tuple(rng.permutation(n).tolist())
+                         for _ in range(int(rng.integers(0, 6)))]
+                assert np.array_equal(symmetry._seen_through(M, perms),
+                                      self.broadcast(M, perms))
 
 
 class TestPinnedOutputs:
