@@ -45,6 +45,9 @@ def _check_basis(gram, basis, d) -> list:
     if len(rows) != d:
         raise ValueError("a complete basis needs %d rays, got %d"
                          % (d, len(rows)))
+    if rows and not (0 <= min(rows) and max(rows) < len(gram)):
+        rid = next(r for r in rows if not 0 <= r < len(gram)) + 1
+        raise ValueError("ray id %d is outside 1..%d" % (rid, len(gram)))
     sub = gram[np.ix_(rows, rows)]
     if np.any(sub - np.diag(np.diag(sub))):
         raise ValueError("basis rays are not pairwise orthogonal")

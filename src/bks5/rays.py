@@ -164,7 +164,10 @@ class RayTable:
     block_map: dict
 
     def __getitem__(self, ray_id: int) -> Ray:
-        """Ray by 1-based id."""
+        """Ray by 1-based id; an id outside 1..len(self) is named."""
+        if not 1 <= ray_id <= len(self.rays):
+            raise IndexError("ray id %d is outside 1..%d"
+                             % (ray_id, len(self.rays)))
         return self.rays[ray_id - 1]
 
     def __len__(self):
@@ -279,6 +282,9 @@ def _validate_table(table: RayTable):
             raise RayTableError(
                 "rays %d and %d of block %s are not orthogonal"
                 % (i, j, label))
+    for r in table.rays:
+        if not any(lo <= r.id <= hi for lo, hi in table.block_map.values()):
+            raise RayTableError("ray %d lies in no block" % r.id)
     for r in table.rays:
         pid = table._partner_ids.get(r.id)
         if pid is None:

@@ -2,14 +2,14 @@
 
 Vertices are bases; two bases are adjacent when they share at least one
 ray, and each edge carries the number of shared rays as a weight.  The
-automorphism search combines iterated color refinement with
-forward-checked backtracking over candidate bitmasks, which is exact and
-fast at this scale.  The group structure summary (largest normal
-elementary-abelian 2-subgroup and the quotient) is computed by array
-indexing into a numpy multiplication table: a subgroup generated by a
-union of conjugacy classes of commuting involutions is automatically
-normal and elementary abelian, so the maximum is found by the clique
-search of ``bases`` over involution classes.
+automorphisms are the n-cliques of the association graph over pairs of
+vertices with equal iterated-refinement colour, found by the clique
+search of ``bases``; the refinement keeps that graph small.  The group
+structure summary (largest normal elementary-abelian 2-subgroup and the
+quotient) is computed by array indexing into a numpy multiplication
+table: a subgroup generated by a union of conjugacy classes of commuting
+involutions is automatically normal and elementary abelian, so the
+maximum is found by the same clique search over involution classes.
 """
 from __future__ import annotations
 
@@ -76,45 +76,23 @@ def _all_automorphisms(g: OverlapGraph) -> list:
 
 
 def _search_automorphisms(g: OverlapGraph) -> list:
-    """Backtracking over candidate bitmasks; image tuples in search order."""
-    n = g.n
+    """Image tuples of the association graph's n-cliques, in search order.
+
+    One vertex per pair (v, w) of equal refined colour; pairs (v, w) and
+    (u, x) are adjacent when v != u, w != x and the pairs agree on
+    adjacency.  A clique holds at most one pair per v, so its cliques of
+    n pairs are exactly the automorphisms (Barrow & Burstall).
+    """
     colors = np.array(_refine_colors(g))
-    full = (1 << n) - 1
-    base_cand = pack_rows(colors[:, None] == colors[None, :])
-    order = sorted(range(n), key=lambda v: (base_cand[v].bit_count(), v))
-    found = []
-
-    def extend(idx: int, image: dict, cand: list, used: int):
-        if idx == n:
-            found.append(tuple(image[v] for v in range(n)))
-            return
-        v = order[idx]
-        options = cand[v] & ~used
-        while options:
-            bit = options & -options
-            options &= options - 1
-            w = bit.bit_length() - 1
-            new_cand = list(cand)
-            ok = True
-            for u in range(n):
-                if u in image or u == v:
-                    continue
-                if (g.adj[v] >> u) & 1:
-                    new_cand[u] &= g.adj[w]
-                else:
-                    new_cand[u] &= full & ~g.adj[w] & ~bit
-                if not new_cand[u] & ~(used | bit):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            extend(idx + 1, image, new_cand, used | bit)
-            del image[v]
-
-    extend(0, {}, base_cand, 0)
-    del extend  # break the recursive closure's self-reference
-    return found
+    A = unpack_rows(g.adj, g.n)
+    v, w = np.nonzero(colors[:, None] == colors[None, :])
+    assoc = ((v[:, None] != v[None, :]) & (w[:, None] != w[None, :])
+             & (A[np.ix_(v, v)] == A[np.ix_(w, w)]))
+    # Pairs are numbered in order of v, so a clique's sorted pair numbers
+    # list the image of each vertex in turn.
+    images = w.tolist()
+    return [tuple(map(images.__getitem__, sorted(clique)))
+            for clique in maximal_cliques(pack_rows(assoc), g.n)]
 
 
 def _seen_through(M: np.ndarray, perms: list) -> np.ndarray:

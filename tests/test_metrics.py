@@ -51,6 +51,15 @@ class TestHsDistanceSquared:
         with pytest.raises(ValueError, match="orthogonal"):
             hs_distance_squared(ray_table, tampered, proof_bases[1])
 
+    @pytest.mark.parametrize("bad", [0, 161])
+    def test_ray_id_out_of_range_rejected(self, ray_table, proof_bases, bad):
+        """Id 0 must not wrap to ray 160: this basis would pass for basis 1."""
+        assert 160 in proof_bases[0]
+        tampered = [bad if rid == 160 else rid for rid in proof_bases[0]]
+        with pytest.raises(ValueError,
+                           match=r"^ray id %d is outside 1\.\.160$" % bad):
+            hs_distance_squared(ray_table, proof_bases[1], tampered)
+
 
 class TestDistanceSpectrum:
     """Exact spectra over the printed and the full basis families."""
@@ -66,6 +75,13 @@ class TestDistanceSpectrum:
                        if rid not in tampered][0]
         with pytest.raises(ValueError, match="orthogonal"):
             distance_spectrum(ray_table, list(proof_bases[:3]) + [tampered])
+
+    @pytest.mark.parametrize("bad", [0, 161])
+    def test_ray_id_out_of_range_rejected(self, ray_table, proof_bases, bad):
+        tampered = [bad if rid == 160 else rid for rid in proof_bases[0]]
+        with pytest.raises(ValueError,
+                           match=r"^ray id %d is outside 1\.\.160$" % bad):
+            distance_spectrum(ray_table, [tampered] + list(proof_bases[1:]))
 
     def test_pair_multiplicities_sum_to_choose_2(self, spectrum21,
                                                  spectrum661):

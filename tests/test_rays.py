@@ -147,6 +147,13 @@ class TestRayTable:
             assert np.array_equal(gram, np.diag(np.diag(gram)))
             assert np.all(np.diag(gram) > 0)
 
+    @pytest.mark.parametrize("bad", [0, -1, 161])
+    def test_id_out_of_range_is_named(self, ray_table, bad):
+        """Id 0 must not wrap to ray 160, and the error names the id."""
+        with pytest.raises(IndexError,
+                           match=r"^ray id %d is outside 1\.\.160$" % bad):
+            ray_table[bad]
+
     def test_rays_pairwise_distinct(self, ray_table):
         assert len({r.entries for r in ray_table.rays}) == 160
 
@@ -240,6 +247,14 @@ class TestValidateTable:
         with pytest.raises(RayTableError,
                            match="^partner of ray 1 falls outside its "
                                  "block$"):
+            _validate_table(table)
+
+    def test_ray_outside_every_block(self):
+        """Rays 3 and 4 lie in no range of ``block_map``; the first is
+        named before the partner check looks up the block of ray 4."""
+        table = _small_table({"P": (1, 2)}, self.E1, self.E4, self.E2,
+                             self.E3)
+        with pytest.raises(RayTableError, match="^ray 3 lies in no block$"):
             _validate_table(table)
 
     def test_partner_missing_from_table(self):

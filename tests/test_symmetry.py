@@ -1,7 +1,7 @@
 """Tests for the basis-overlap graph and its automorphism group."""
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -181,6 +181,61 @@ class TestSmallGraphs:
         graph = build_overlap_graph({k: (0, k) for k in range(1, 5)})
         with pytest.raises(AssertionError, match="not a group table"):
             automorphism_group(graph)
+
+
+def _graph_from_edges(n, edges):
+    """The overlap graph with the given edges: each edge is one shared ray,
+    and each vertex holds a ray of its own, so isolated vertices stay."""
+    bases = {v: [("own", v)] for v in range(n)}
+    for i, j in edges:
+        bases[i].append((i, j))
+        bases[j].append((i, j))
+    return build_overlap_graph(bases)
+
+
+def _brute_force_automorphisms(g) -> list:
+    """Every permutation of the vertices that preserves the adjacency."""
+    A = unpack_rows(g.adj, g.n)
+    perms = list(permutations(range(g.n)))
+    P = np.array(perms, dtype=np.intp).reshape(len(perms), g.n)
+    keep = (A[P[:, :, None], P[:, None, :]] == A).all(axis=(1, 2))
+    return sorted(tuple(p) for p in P[keep].tolist())
+
+
+class TestAutomorphismsAgainstBruteForce:
+    """The clique search's automorphisms against all n! permutations."""
+
+    # Regular graphs, where every vertex starts with the same colour and
+    # refinement splits nothing: C6 and two triangles are both 2-regular.
+    REGULAR = {
+        "C6": (6, [(i, (i + 1) % 6) for i in range(6)]),
+        "2C3": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        "K33": (6, [(i, j) for i in range(3) for j in range(3, 6)]),
+        "prism": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                      (0, 3), (1, 4), (2, 5)]),
+        "C7": (7, [(i, (i + 1) % 7) for i in range(7)]),
+        "C7-squared": (7, [(i, (i + k) % 7) for i in range(7)
+                           for k in (1, 2)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REGULAR))
+    def test_regular_graphs(self, name):
+        n, edges = self.REGULAR[name]
+        graph = _graph_from_edges(n, edges)
+        assert len(set(symmetry._refine_colors(graph))) == 1
+        assert symmetry._all_automorphisms(graph) == \
+            _brute_force_automorphisms(graph)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_random_graphs(self, n):
+        rng = random.Random(n)
+        for _ in range(12):
+            density = rng.choice((0.2, 0.5, 0.8))
+            edges = [e for e in combinations(range(n), 2)
+                     if rng.random() < density]
+            graph = _graph_from_edges(n, edges)
+            assert symmetry._all_automorphisms(graph) == \
+                _brute_force_automorphisms(graph)
 
 
 def _reference_weighted_order(g) -> int:
