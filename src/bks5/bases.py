@@ -55,10 +55,9 @@ def build_ortho_graph(table: RayTable) -> OrthoGraph:
     Bit j of row i is set when Gram entry (i, j) is zero; every ray has a
     positive norm, so none is its own neighbour.
     """
-    entries = table.entries_matrix()
     return OrthoGraph(ids=tuple(r.id for r in table.rays),
-                      rows=pack_rows(entries @ entries.T == 0),
-                      dim=entries.shape[1])
+                      rows=pack_rows(table.gram == 0),
+                      dim=len(table.rays[0].entries))
 
 
 def pack_rows(matrix) -> tuple:

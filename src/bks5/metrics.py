@@ -25,9 +25,8 @@ from .rays import RayTable
 
 def hs_distance_squared(table: RayTable, basis_a, basis_b) -> Fraction:
     """Definitional per-pair computation, exact in Fraction arithmetic."""
-    entries = table.entries_matrix()
-    d = entries.shape[1]
-    gram = entries @ entries.T
+    gram = table.gram
+    d = table.entries_matrix().shape[1]
     rows_a = _check_basis(gram, basis_a, d)
     rows_b = _check_basis(gram, basis_b, d)
     total = Fraction(0)
@@ -111,9 +110,8 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     OverflowError instead of wrapping.
     """
     bases = [tuple(b) for b in bases]
-    entries = table.entries_matrix()
-    d = entries.shape[1]
-    gram = entries @ entries.T
+    gram = table.gram
+    d = table.entries_matrix().shape[1]
     selector = np.zeros((len(bases), len(table)), dtype=np.int64)
     for bi, b in enumerate(bases):
         selector[bi, _check_basis(gram, b, d)] = 1

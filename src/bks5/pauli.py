@@ -120,23 +120,21 @@ def pauli_to_matrix(p: PauliOp) -> np.ndarray:
 
 
 def apply_pauli(p: PauliOp, vec) -> np.ndarray:
-    """Apply ``p`` to an integer vector without forming the full matrix.
+    """Apply ``p`` along the first axis of an integer array, matrix-free.
 
     Per qubit the factor X^x Z^z maps e_b to (-1)^(z*b) e_(b xor x), so the
     whole operator sends basis vector e_j to +/- e_(j XOR x_bits) with the
-    parity of popcount(j AND z_bits).
+    parity of popcount(j AND z_bits).  Trailing axes ride along, so a
+    matrix is mapped column by column.
     """
     vec = np.asarray(vec)
     dim = 1 << p.n
-    if vec.shape != (dim,):
+    if vec.ndim == 0 or len(vec) != dim:
         raise ValueError("vector length must be %d" % dim)
-    out = np.zeros_like(vec)
-    for j in range(dim):
-        if vec[j] == 0:
-            continue
-        par = (j & p.z_bits).bit_count()
-        out[j ^ p.x_bits] += p.sign * (-1 if par % 2 else 1) * vec[j]
-    return out
+    src = np.arange(dim) ^ p.x_bits
+    phase = np.array([-p.sign if (j & p.z_bits).bit_count() % 2 else p.sign
+                      for j in src.tolist()], dtype=np.int64)
+    return phase.reshape((dim,) + (1,) * (vec.ndim - 1)) * vec[src]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import gcd
 
 import numpy as np
 
@@ -27,19 +26,19 @@ class RayTableError(Exception):
     """Raised when a rebuilt block disagrees with the embedded table."""
 
 
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Each nonzero integer row scaled to content 1, first nonzero entry +1."""
+    rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows * np.sign(lead)[:, None]
+
+
 def canonical_entries(entries) -> tuple:
     """Scale to content 1 and make the first nonzero entry +1."""
-    ent = [int(e) for e in entries]
-    g = 0
-    for e in ent:
-        g = gcd(g, abs(e))
-    if g == 0:
+    row = np.fromiter(map(int, entries), dtype=np.int64)[None]
+    if not row.any():
         raise ValueError("zero vector has no ray")
-    ent = [e // g for e in ent]
-    for e in ent:
-        if e:
-            return tuple(ent if e > 0 else [-x for x in ent])
-    raise AssertionError("unreachable")
+    return tuple(_canonical_rows(row)[0].tolist())
 
 
 # The entry each character of a ray string stands for; these three values
@@ -102,13 +101,12 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
     2^n times the projector onto the joint eigenspace, so its trace must be
     exactly 2^n (rank one).  All 2^n products are built at once as one
     (2^n, dim, dim) stack, patterns in ``product((1, -1), repeat=n)`` order:
-    each operator doubles the stack into P + O P and P - O P, where O acts on
-    the rows as a signed permutation, row j of O P being row j XOR x of P
-    times the operator's sign and the parity of popcount((j XOR x) AND z).
-    The first nonzero column of each product is its ray.  The rays are then
-    checked as eigenvectors against the Kronecker matrix ``pauli_to_matrix``,
-    one batched product per operator, so that the bit action is checked by
-    an independent realisation.
+    each operator doubles the stack into P + O P and P - O P, with O P taken
+    by ``apply_pauli`` as a signed permutation of the rows.  The first
+    nonzero column of each product is its ray.  The rays are then checked
+    as eigenvectors against the Kronecker matrix ``pauli_to_matrix``, one
+    batched product per operator, so that the bit action is checked by an
+    independent realisation.
     """
     ops = list(cset.ops)
     if not ops:
@@ -124,15 +122,13 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
     points = [(op.x_bits << n) | op.z_bits for op in ops]
     if GF2Subspace.span_of(points, 2 * n).rank != n:
         raise ValueError("operators of set %s are not independent" % cset.label)
-    rows = np.arange(dim)
-    stack = np.eye(dim, dtype=np.int64)[None]
+    # Rows first while ``apply_pauli`` permutes them, then pattern, column.
+    stack = np.eye(dim, dtype=np.int64)[:, None]
     for op in ops:
-        src = rows ^ op.x_bits
-        phase = np.array([op.sign * (-1 if (j & op.z_bits).bit_count() % 2
-                                     else 1) for j in src], dtype=np.int64)
-        image = phase[:, None] * stack[:, src, :]
-        stack = np.stack((stack + image, stack - image), axis=1).reshape(
-            -1, dim, dim)
+        image = apply_pauli(op, stack)
+        stack = np.stack((stack + image, stack - image), axis=2).reshape(
+            dim, -1, dim)
+    stack = stack.transpose(1, 0, 2)
     patterns = list(product((1, -1), repeat=n))
     traces = np.trace(stack, axis1=1, axis2=2)
     for signs, trace in zip(patterns, traces):
@@ -140,12 +136,9 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
             raise ValueError(
                 "sign pattern %s of set %s gives a projector of rank != 1"
                 % (signs, cset.label))
-    # The first nonzero column of each product, made canonical as
-    # ``canonical_entries`` does: content 1, first nonzero entry +1.
-    each = np.arange(len(stack))
-    vecs = stack[each, :, stack.any(axis=1).argmax(axis=1)]
-    vecs //= np.gcd.reduce(vecs, axis=1)[:, None]
-    vecs *= np.sign(vecs[each, (vecs != 0).argmax(axis=1)])[:, None]
+    # The first nonzero column of each product, made canonical.
+    vecs = _canonical_rows(stack[np.arange(len(stack)), :,
+                                 stack.any(axis=1).argmax(axis=1)])
     out = [Ray(tuple(v)) for v in vecs.tolist()]
     signs = np.array(patterns, dtype=np.int64)
     for i, op in enumerate(ops):
@@ -165,10 +158,13 @@ class RayTable:
 
     def __getitem__(self, ray_id: int) -> Ray:
         """Ray by 1-based id; an id outside 1..len(self) is named."""
+        return self.rays[self._checked(ray_id) - 1]
+
+    def _checked(self, ray_id: int) -> int:
         if not 1 <= ray_id <= len(self.rays):
             raise IndexError("ray id %d is outside 1..%d"
                              % (ray_id, len(self.rays)))
-        return self.rays[ray_id - 1]
+        return ray_id
 
     def __len__(self):
         return len(self.rays)
@@ -176,26 +172,32 @@ class RayTable:
     def entries_matrix(self) -> np.ndarray:
         return np.array([r.entries for r in self.rays], dtype=np.int64)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Exact integer inner products of the rays in id order, read-only."""
+        entries = self.entries_matrix()
+        gram = entries @ entries.T
+        gram.flags.writeable = False
+        return gram
+
     def partner_id(self, ray_id: int) -> int:
-        return self._partner_ids[ray_id]
+        return self._partner_ids[self._checked(ray_id)]
 
     @cached_property
     def _partner_ids(self) -> dict:
         """Every partner id, read from one flipped entries matrix.
 
-        Each row reversed and negated is made sign-canonical as ``partner``
-        does; entries in {-1, 0, +1} already have content 1.  A ray whose
-        partner is not in the table has no entry.
+        Each row reversed and negated is made canonical as ``partner``
+        does.  A ray whose partner is not in the table has no entry.
         """
-        flipped = -self.entries_matrix()[:, ::-1]
-        lead = flipped[np.arange(len(flipped)), (flipped != 0).argmax(axis=1)]
-        flipped *= lead[:, None]
+        flipped = _canonical_rows(-self.entries_matrix()[:, ::-1])
         index = {r.entries: r.id for r in self.rays}
         return {r.id: index[entries]
                 for r, entries in zip(self.rays, map(tuple, flipped.tolist()))
                 if entries in index}
 
     def block_of(self, ray_id: int) -> str:
+        self._checked(ray_id)
         for label, (lo, hi) in self.block_map.items():
             if lo <= ray_id <= hi:
                 return label
@@ -271,12 +273,14 @@ def build_ray_table() -> RayTable:
 def _validate_table(table: RayTable):
     if len({r.entries for r in table.rays}) != len(table.rays):
         raise RayTableError("table contains projectively equal rays")
-    entries = table.entries_matrix()
     for label, (lo, hi) in table.block_map.items():
-        block = entries[lo - 1:hi]
+        if not 1 <= lo <= hi <= len(table):
+            raise RayTableError("block %s has range (%d, %d), not within "
+                                "1..%d" % (label, lo, hi, len(table)))
+    for label, (lo, hi) in table.block_map.items():
         # Row-major order over the strict upper triangle is the
         # ``combinations`` order, so the first hit is the first bad pair.
-        bad = np.argwhere(np.triu(block @ block.T, 1))
+        bad = np.argwhere(np.triu(table.gram[lo - 1:hi, lo - 1:hi], 1))
         if len(bad):
             i, j = bad[0] + lo
             raise RayTableError(

@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line interface."""
+import hashlib
 import json
 import re
 
@@ -38,6 +39,21 @@ class TestRaysCommand:
         assert report["sign_product"] == -1
         assert report["parity_contradiction"] is True
         assert "contradiction=True" in capsys.readouterr().out
+
+    ARTIFACT_SHA256 = {
+        "rays.csv": "bf61c34fb92fae2b8bd616800fac382a"
+                    "93120a24f4fb703a96feeb6aa1ffa765",
+        "rays.json": "0ab2619eb4a127029940f2aeb32c793f"
+                     "5ad4b4db56c4d84e590ae383e9570863",
+        "magic.json": "192c183f340cf2971a83de2e3b507fba"
+                      "31153a78d0bf719bd5c774ab065f5046",
+    }
+
+    def test_artifact_bytes_are_pinned(self, tmp_path, capsys):
+        code, out = run(tmp_path, "rays", "--config", "magic")
+        assert code == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in self.ARTIFACT_SHA256} == self.ARTIFACT_SHA256
 
     def test_corrupt_reference_exits_nonzero(self, tmp_path, monkeypatch,
                                              capsys):

@@ -156,6 +156,10 @@ class _StubTable:
     def entries_matrix(self):
         return self._entries
 
+    @property
+    def gram(self):
+        return self._entries @ self._entries.T
+
 
 class TestFormatDistance:
     def test_known_values(self):

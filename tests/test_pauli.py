@@ -80,12 +80,18 @@ class TestMatrixOracle:
             assert np.array_equal(pauli_to_matrix(prod), expected)
 
     def test_apply_pauli_matches_matrix_action(self):
-        rng = random.Random(77)
+        """Vectors, matrices and 3-D stacks: the first axis is acted on."""
+        rng = np.random.default_rng(77)
         for op in self.random_ops(40, 4, seed=13):
-            vec = np.array([rng.randint(-3, 3) for _ in range(16)],
-                           dtype=np.int64)
-            assert np.array_equal(apply_pauli(op, vec),
-                                  pauli_to_matrix(op) @ vec)
+            for trailing in ((), (3,), (2, 5)):
+                vec = rng.integers(-3, 4, size=(16,) + trailing)
+                want = np.tensordot(pauli_to_matrix(op), vec, axes=1)
+                assert np.array_equal(apply_pauli(op, vec), want)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 16), (2, 16), ()])
+    def test_apply_pauli_rejects_wrong_first_axis(self, shape):
+        with pytest.raises(ValueError, match="vector length must be 16"):
+            apply_pauli(make_pauli("XZIY"), np.zeros(shape, dtype=np.int64))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matrix_is_kron_fold(self, n):

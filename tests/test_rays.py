@@ -1,6 +1,7 @@
 """Tests for joint eigenrays, the 160-ray table, and partner structure."""
 import random
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -66,8 +67,9 @@ class TestJointEigenrays:
 def _reference_joint_eigenrays(cset):
     """The dense-matmul extraction, kept as an oracle for ``joint_eigenrays``.
 
-    One integer matrix product per operator and sign pattern, and one
-    ``apply_pauli`` check per ray and operator.
+    One integer matrix product per operator and sign pattern, a scalar
+    canonicalisation of the chosen column, and one ``apply_pauli`` check
+    per ray and operator.
     """
     ops = list(cset.ops)
     n = ops[0].n
@@ -81,12 +83,24 @@ def _reference_joint_eigenrays(cset):
             m = m @ (eye + s * mat)
         assert int(np.trace(m)) == dim
         col = next(m[:, j] for j in range(dim) if m[:, j].any())
-        ray = Ray(canonical_entries(col))
+        ray = Ray(_scalar_canonical(col.tolist()))
         vec = np.array(ray.entries, dtype=np.int64)
         for s, op in zip(signs, ops):
             assert np.array_equal(apply_pauli(op, vec), s * vec)
         out.append(ray)
     return out
+
+
+def _scalar_canonical(entries):
+    """Content 1 and first nonzero entry +1, one Python int at a time."""
+    g = 0
+    for e in entries:
+        g = gcd(g, abs(e))
+    ent = [e // g for e in entries]
+    for e in ent:
+        if e:
+            return tuple(ent if e > 0 else [-x for x in ent])
+    raise AssertionError("unreachable")
 
 
 def _random_commuting_set(rng, n):
@@ -149,10 +163,21 @@ class TestRayTable:
 
     @pytest.mark.parametrize("bad", [0, -1, 161])
     def test_id_out_of_range_is_named(self, ray_table, bad):
-        """Id 0 must not wrap to ray 160, and the error names the id."""
-        with pytest.raises(IndexError,
-                           match=r"^ray id %d is outside 1\.\.160$" % bad):
-            ray_table[bad]
+        """Id 0 must not wrap to ray 160, and the error names the id, in
+        each lookup by id."""
+        for lookup in (ray_table.__getitem__, ray_table.partner_id,
+                       ray_table.block_of):
+            with pytest.raises(IndexError,
+                               match=r"^ray id %d is outside 1\.\.160$"
+                                     % bad):
+                lookup(bad)
+
+    def test_gram_is_the_read_only_entries_product(self, ray_table):
+        entries = ray_table.entries_matrix()
+        assert np.array_equal(ray_table.gram, entries @ entries.T)
+        assert ray_table.gram is ray_table.gram
+        with pytest.raises(ValueError, match="read-only"):
+            ray_table.gram[0, 0] = 0
 
     def test_rays_pairwise_distinct(self, ray_table):
         assert len({r.entries for r in ray_table.rays}) == 160
@@ -255,6 +280,24 @@ class TestValidateTable:
         table = _small_table({"P": (1, 2)}, self.E1, self.E4, self.E2,
                              self.E3)
         with pytest.raises(RayTableError, match="^ray 3 lies in no block$"):
+            _validate_table(table)
+
+    def test_block_range_starting_at_zero(self):
+        """Range (0, 4) must not slice to the last ray alone: rays 1 and 3
+        are not orthogonal."""
+        table = _small_table({"P": (0, 4)}, (1, 1, 0, 0), (0, 0, 1, 1),
+                             (1, 0, 1, 0), (0, 1, 0, 1))
+        with pytest.raises(RayTableError,
+                           match=r"^block P has range \(0, 4\), not within "
+                                 r"1\.\.4$"):
+            _validate_table(table)
+
+    def test_block_range_past_the_end(self):
+        table = _small_table({"P": (1, 2), "Q": (3, 9)},
+                             self.E1, self.E4, self.E2, self.E3)
+        with pytest.raises(RayTableError,
+                           match=r"^block Q has range \(3, 9\), not within "
+                                 r"1\.\.4$"):
             _validate_table(table)
 
     def test_partner_missing_from_table(self):
