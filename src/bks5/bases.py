@@ -14,7 +14,6 @@ bit-row packer serve every bitmask relation in the package.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,10 +169,3 @@ def write_bases_text(bases, path):
     with open(path, "w") as fh:
         for b in bases:
             fh.write(" ".join(str(i) for i in b) + "\n")
-
-
-def write_bases_json(bases, path):
-    with open(path, "w") as fh:
-        json.dump({"count": len(bases), "bases": [list(b) for b in bases]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -15,12 +15,13 @@ import json
 import sys
 import time
 from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, dpll
 from .bases import (bases_sha256, build_ortho_graph, enumerate_maximal_bases,
-                    write_bases_json, write_bases_text)
+                    write_bases_text)
 from .coloring import KSInstance, check_colorable, export_cnf
 from .geometry import geometry_report
 from .metrics import distance_spectrum, emit_histogram, histogram_format
@@ -37,8 +38,9 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, obj):
+    """Two-space indent, sorted keys, final newline; sets as sorted lists."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=sorted)
         fh.write("\n")
 
 
@@ -83,17 +85,14 @@ def cmd_rays(args) -> int:
     table = build_ray_table()
     out = _out_dir(args)
     table.to_csv(out / "rays.csv")
-    table.to_json(out / "rays.json")
+    _write_json(out / "rays.json", {
+        "block_map": table.block_map,
+        "rays": {r.id: r.to_string() for r in table.rays},
+    })
     print("rays: %d verified against the embedded table" % len(table))
     if args.config == "magic":
         report = verify_magic(magic_configuration())
-        _write_json(out / "magic.json", {
-            "operator_count": report.operator_count,
-            "occurrences": report.occurrences,
-            "set_signs": list(report.set_signs),
-            "sign_product": report.sign_product,
-            "parity_contradiction": report.parity_contradiction,
-        })
+        _write_json(out / "magic.json", asdict(report))
         print("magic: %d operators, sign product %+d, contradiction=%s"
               % (report.operator_count, report.sign_product,
                  report.parity_contradiction))
@@ -106,7 +105,7 @@ def cmd_bases(args) -> int:
     d = _Derived()
     out = _out_dir(args)
     write_bases_text(d.bases, out / "bases.txt")
-    write_bases_json(d.bases, out / "bases.json")
+    _write_json(out / "bases.json", {"count": len(d.bases), "bases": d.bases})
     census, expected = _maximal_bases(d)
     ok = census == expected
     print("bases: %d enumerated, census %s (sha256 %s...)"
@@ -122,10 +121,7 @@ def cmd_color(args) -> int:
     (out / ("instance-%s.cnf" % args.bases)).write_text(cnf)
     _write_json(out / ("certificate-%s.json" % args.bases), {
         "selection": args.bases,
-        "status": result.status,
-        "nodes": result.nodes,
-        "propagations": result.propagations,
-        "witness": result.witness,
+        **asdict(result),
         "dimacs_cross_check": {
             "satisfiable": cross.satisfiable,
             "nodes": cross.nodes,
@@ -144,15 +140,9 @@ def cmd_search(args) -> int:
                                    max_size=args.max_size,
                                    budget=args.budget)
     out = _out_dir(args)
-    _write_json(out / "search.json", {
-        "status": candidate.status,
-        "seed": candidate.seed,
-        "restart": candidate.restart,
-        "attempts": candidate.attempts,
-        "size": candidate.size,
-        "basis_indices": list(candidate.basis_indices),
-        "bases": [list(b) for b in candidate.bases],
-    })
+    fields = asdict(candidate)
+    del fields["coloring"]
+    _write_json(out / "search.json", fields)
     print("search[seed=%d]: %s, size %d, restart %s"
           % (args.seed, candidate.status, candidate.size, candidate.restart))
     return 0
@@ -178,14 +168,9 @@ def cmd_geometry(args) -> int:
     report = geometry_report()
     out = _out_dir(args)
     _write_json(out / "geometry.json", {
-        "point_counts": report.point_counts,
-        "all_isotropic": report.all_isotropic,
-        "quadric_memberships": report.quadric_memberships,
-        "union_point_count": report.union_point_count,
+        **asdict(report),
         "intersection_dims": {"%s|%s" % k: v
                               for k, v in report.intersection_dims.items()},
-        "systems": [sorted(s) for s in report.systems],
-        "distinguished": report.distinguished,
     })
     print("geometry: spans verified, union %d points, systems %s / %s"
           % (report.union_point_count,
@@ -198,19 +183,7 @@ def cmd_symmetry(args) -> int:
     graph = build_overlap_graph(catalog.PROOF_BASES)
     report = automorphism_group(graph)
     out = _out_dir(args)
-    _write_json(out / "symmetry.json", {
-        "order": report.order,
-        "weighted_order": report.weighted_order,
-        "normal_ea_order": report.normal_ea_order,
-        "quotient_order": report.quotient_order,
-        "quotient_nonabelian": report.quotient_nonabelian,
-        "element_order_census": {str(k): v for k, v
-                                 in sorted(report.element_order_census.items())},
-        "conjugacy_class_count": report.conjugacy_class_count,
-        "closure_verified": report.closure_verified,
-        "generators": [list(p) for p in report.generators],
-        "orbits": [list(o) for o in report.orbits],
-    })
+    _write_json(out / "symmetry.json", asdict(report))
     print("symmetry: order %d, largest normal 2-elementary %d, quotient %d%s"
           % (report.order, report.normal_ea_order, report.quotient_order,
              " (non-abelian)" if report.quotient_nonabelian else ""))
@@ -285,7 +258,7 @@ CHECKS = (
 
 
 def cmd_verify(args) -> int:
-    t_start = time.time()
+    t_start = time.perf_counter()
     derived, failures = _Derived(), 0
     for name, check in CHECKS:
         try:  # any exception is this check's FAIL; the battery keeps going
@@ -299,7 +272,8 @@ def cmd_verify(args) -> int:
             print("    reason: %s" % reason)
             failures += 1
     print("verify: %d/%d checks passed in %.1fs"
-          % (len(CHECKS) - failures, len(CHECKS), time.time() - t_start))
+          % (len(CHECKS) - failures, len(CHECKS),
+             time.perf_counter() - t_start))
     return 0 if failures == 0 else 1
 
 

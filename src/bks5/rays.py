@@ -9,7 +9,6 @@ published ids stay stable.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -201,7 +200,7 @@ class RayTable:
         for label, (lo, hi) in self.block_map.items():
             if lo <= ray_id <= hi:
                 return label
-        raise KeyError(ray_id)
+        raise RayTableError("ray %d lies in no block" % ray_id)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -209,15 +208,6 @@ class RayTable:
             w.writerow(["id"] + ["e%d" % i for i in range(1, 33)])
             for r in self.rays:
                 w.writerow([r.id] + list(r.entries))
-
-    def to_json(self, path):
-        data = {
-            "block_map": {k: list(v) for k, v in self.block_map.items()},
-            "rays": {r.id: r.to_string() for r in self.rays},
-        }
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def five_sets() -> dict:
@@ -287,13 +277,11 @@ def _validate_table(table: RayTable):
                 "rays %d and %d of block %s are not orthogonal"
                 % (i, j, label))
     for r in table.rays:
-        if not any(lo <= r.id <= hi for lo, hi in table.block_map.values()):
-            raise RayTableError("ray %d lies in no block" % r.id)
-    for r in table.rays:
         pid = table._partner_ids.get(r.id)
         if pid is None:
             raise RayTableError("partner of ray %d is not in the table" % r.id)
-        if table.block_of(pid) != table.block_of(r.id):
+        # block_of raises for a ray in no block; the ray is named first.
+        if table.block_of(r.id) != table.block_of(pid):
             raise RayTableError(
                 "partner of ray %d falls outside its block" % r.id)
 

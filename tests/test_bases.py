@@ -10,7 +10,7 @@ from bks5 import catalog
 from bks5.bases import (OrthoGraph, bases_sha256, build_ortho_graph,
                         contains_basis, enumerate_maximal_bases,
                         maximal_cliques, pack_rows, unpack_rows,
-                        write_bases_json, write_bases_text)
+                        write_bases_text)
 
 
 class TestOrthoGraph:
@@ -235,15 +235,9 @@ class TestMerminFamily:
 
 
 class TestSerialization:
-    def test_text_and_json_writers(self, tmp_path, proof_bases):
-        import json
+    def test_text_writer(self, tmp_path, proof_bases):
         txt = tmp_path / "bases.txt"
-        js = tmp_path / "bases.json"
         write_bases_text(proof_bases, txt)
-        write_bases_json(proof_bases, js)
         lines = txt.read_text().splitlines()
         assert len(lines) == 21
         assert [int(t) for t in lines[0].split()] == list(proof_bases[0])
-        data = json.loads(js.read_text())
-        assert data["count"] == 21
-        assert data["bases"][13] == list(proof_bases[13])

@@ -20,6 +20,12 @@ def run(tmp_path, *argv):
     return code, out
 
 
+def sha256s(out, names):
+    """The SHA-256 of each named file in ``out``, keyed by name."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
 class TestRaysCommand:
     """``rays`` rebuilds the table and the operator parity report."""
 
@@ -52,8 +58,7 @@ class TestRaysCommand:
     def test_artifact_bytes_are_pinned(self, tmp_path, capsys):
         code, out = run(tmp_path, "rays", "--config", "magic")
         assert code == 0
-        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in self.ARTIFACT_SHA256} == self.ARTIFACT_SHA256
+        assert sha256s(out, self.ARTIFACT_SHA256) == self.ARTIFACT_SHA256
 
     def test_corrupt_reference_exits_nonzero(self, tmp_path, monkeypatch,
                                              capsys):
@@ -78,6 +83,18 @@ class TestBasesCommand:
         assert data["count"] == 661
         assert len(data["bases"]) == 661
         assert "661 enumerated, census verified" in capsys.readouterr().out
+
+    ARTIFACT_SHA256 = {
+        "bases.txt": "cb8c8bb91db57a2d9a634ca2b5f21074"
+                     "74680255170f0e860253e87bc9677cc2",
+        "bases.json": "17f4d8fce4a6277b4bc1b8151f462bec"
+                      "4df246577e5ec0672399fb896b14cfc8",
+    }
+
+    def test_artifact_bytes_are_pinned(self, tmp_path, capsys):
+        code, out = run(tmp_path, "bases")
+        assert code == 0
+        assert sha256s(out, self.ARTIFACT_SHA256) == self.ARTIFACT_SHA256
 
     def test_census_mismatch_exits_nonzero(self, tmp_path, monkeypatch,
                                            capsys):
@@ -115,6 +132,21 @@ class TestColorCommand:
         with pytest.raises(SystemExit):
             run(tmp_path, "color", "--bases", "everything")
 
+    @pytest.mark.parametrize("selection, digest", [
+        ("proof", "76cee887d0dfc7721deace7e10dd4bf6"
+                  "b3d13b98c6599843c1198f7683ea6c30"),
+        ("blocks", "1452b727397e6e4c4a77d59f33cc1156"
+                   "7b62e30a1ca8526f61c295e76c18044a"),
+        ("all", "b101499e21a697b77aa0b749e06d6de4"
+                "a1bffac6d4a42ea849f3e180bc1232a9"),
+    ])
+    def test_certificate_bytes_are_pinned(self, selection, digest, tmp_path,
+                                          capsys):
+        code, out = run(tmp_path, "color", "--bases", selection)
+        assert code == 0
+        name = "certificate-%s.json" % selection
+        assert sha256s(out, [name]) == {name: digest}
+
 
 class TestSearchCommand:
     """``search`` is reproducible from its seed."""
@@ -137,6 +169,17 @@ class TestSearchCommand:
         assert data["basis_indices"] == []
         assert data["attempts"] == 0
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("--seed", "0"), "42c2f0b00b2ec6bb1653e59a9dc075d0"
+                          "a870a2fb7cd94c8eb4cc69407cec0e56"),
+        (("--budget", "0"), "0da5b920661ae8af9b07fc6cf77044bb"
+                            "5a3402ea7d3d4e9e89cdc55c7e2a5acd"),
+    ])
+    def test_artifact_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
+        code, out = run(tmp_path, "search", *argv)
+        assert code == 0
+        assert sha256s(out, ["search.json"]) == {"search.json": digest}
+
 
 class TestDistancesCommand:
     """``distances`` emits exact-spectrum histograms."""
@@ -150,6 +193,13 @@ class TestDistancesCommand:
         svg = (out / "histogram-proof.svg").read_text()
         assert svg.count("<rect") == 55
         assert "54 distinct values" in capsys.readouterr().out
+
+    def test_svg_bytes_are_pinned(self, tmp_path, capsys):
+        code, out = run(tmp_path, "distances", "--format", "svg")
+        assert code == 0
+        assert sha256s(out, ["histogram-proof.svg"]) == {
+            "histogram-proof.svg": "76d5c3748a68784fa43d6d1978d6d3ea"
+                                   "daf91f6669b4b71b853592f3d3fcbdb7"}
 
     def test_unknown_format_exits_nonzero(self, tmp_path, capsys):
         code, _ = run(tmp_path, "distances", "--format", "png")
@@ -178,6 +228,13 @@ class TestGeometryCommand:
             {frozenset({"A", "B"}), frozenset({"A'", "B'", "C"})}
         assert data["distinguished"] == {"IIIIX": 1, "IIIZI": 3, "IIXZX": 3}
         assert "union 129 points" in capsys.readouterr().out
+
+    def test_artifact_bytes_are_pinned(self, tmp_path, capsys):
+        code, out = run(tmp_path, "geometry")
+        assert code == 0
+        assert sha256s(out, ["geometry.json"]) == {
+            "geometry.json": "4542f4f6d140d7efd663ba778a4c2218"
+                             "fd2c41f0e1adfa7aadb26b454cf8e8df"}
 
 
 class TestSymmetryCommand:

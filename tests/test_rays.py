@@ -282,6 +282,11 @@ class TestValidateTable:
         with pytest.raises(RayTableError, match="^ray 3 lies in no block$"):
             _validate_table(table)
 
+    def test_block_of_names_a_ray_in_no_block(self):
+        table = RayTable(rays=(Ray((1, 0), 1), Ray((0, 1), 2)), block_map={})
+        with pytest.raises(RayTableError, match="^ray 1 lies in no block$"):
+            table.block_of(1)
+
     def test_block_range_starting_at_zero(self):
         """Range (0, 4) must not slice to the last ray alone: rays 1 and 3
         are not orthogonal."""
@@ -362,7 +367,7 @@ class TestIdentifyBlock:
 
 
 class TestTableSerialization:
-    """CSV and JSON exports round-trip the table content."""
+    """The CSV export carries the table content."""
 
     def test_csv_export(self, ray_table, tmp_path):
         path = tmp_path / "rays.csv"
@@ -373,14 +378,6 @@ class TestTableSerialization:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert [int(x) for x in first[1:]] == list(ray_table[1].entries)
-
-    def test_json_export(self, ray_table, tmp_path):
-        import json
-        path = tmp_path / "rays.json"
-        ray_table.to_json(path)
-        data = json.loads(path.read_text())
-        assert data["rays"]["160"] == catalog.RAYS[159]
-        assert data["block_map"]["C"] == [129, 160]
 
 
 class TestGoldenMismatchDetection:
