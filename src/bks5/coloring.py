@@ -73,6 +73,19 @@ class KSInstance:
         return cls(graph=graph, ray_ids=tuple(sorted(involved)),
                    bases=tuple(norm_bases), basis_masks=tuple(masks))
 
+    def restrict(self, keep) -> "KSInstance":
+        """The instance of the bases at positions ``keep``, in that order.
+
+        It equals ``build`` over those bases.  Nothing is validated again:
+        ``build`` checks each basis on its own, so a selection of checked
+        bases is checked.
+        """
+        bases = tuple(map(self.bases.__getitem__, keep))
+        masks = tuple(map(self.basis_masks.__getitem__, keep))
+        involved = set(chain.from_iterable(bases))
+        return KSInstance(graph=self.graph, ray_ids=tuple(sorted(involved)),
+                          bases=bases, basis_masks=masks)
+
     @cached_property
     def ortho_pairs(self) -> tuple:
         """Every orthogonal pair among the involved rays, in id order."""

@@ -9,59 +9,87 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .bases import OrthoGraph
+import numpy as np
+
+from .bases import OrthoGraph, pack_rows, unpack_rows
 from .coloring import ColoringResult, KSInstance, check_colorable
+
+
+class _CoverIndex(NamedTuple):
+    """Basis bitmasks indexed for exact cover of the rays in ``full``.
+
+    Bit i of ``holding[r]``: basis i holds ray bit r.  Bit j of
+    ``clash[i]``: bases i and j share a ray.
+    """
+
+    full: int
+    masks: tuple
+    holding: tuple
+    clash: tuple
+
+
+def _cover_index(masks, full: int) -> _CoverIndex:
+    """Index basis masks whose bits all lie in ``full``."""
+    incidence = unpack_rows(masks, full.bit_length())
+    holding = pack_rows(incidence.T)
+    clash = [0] * len(masks)
+    for i, ray in zip(*(a.tolist() for a in np.nonzero(incidence))):
+        clash[i] |= holding[ray]
+    return _CoverIndex(full, tuple(masks), holding, tuple(clash))
+
+
+def _exact_covers(index: _CoverIndex, avail: int,
+                  first: bool = False) -> list[tuple]:
+    """Every 5-element set of the bases in ``avail`` that tiles ``full``.
+
+    Knuth's Algorithm X on bitmasks: each node covers its lowest uncovered
+    ray with every still-available basis through it, and choosing a basis
+    withdraws every basis it meets, so each cover is reached exactly once.
+    With ``first`` the search stops at the first cover.
+    """
+    full, masks, holding, clash = index
+    found = []
+    stack = [((), 0, avail)]
+    while stack:
+        chosen, covered, avail = stack.pop()
+        uncovered = full ^ covered
+        if not uncovered:
+            if len(chosen) == 5:
+                found.append(tuple(sorted(chosen)))
+                if first:
+                    break
+        elif len(chosen) < 5:
+            cand = holding[(uncovered & -uncovered).bit_length() - 1] & avail
+            while cand:
+                i = (cand & -cand).bit_length() - 1
+                cand &= cand - 1
+                stack.append((chosen + (i,), covered | masks[i],
+                              avail & ~clash[i]))
+    return found
 
 
 def find_partitions(bases, universe=None) -> list[tuple]:
     """All 5-element subsets of ``bases`` that partition the universe.
 
     Returns sorted tuples of 0-based indices into ``bases``, in sorted
-    order.  The universe defaults to the union of all input rays.  The
-    search is an exact cover (Knuth's Algorithm X) on bitmasks: each node
-    covers its lowest uncovered ray with every still-available basis
-    through it, and choosing a basis withdraws every basis it meets, so
-    each partition is reached exactly once.
+    order.  The universe defaults to the union of all input rays.
     """
     bases = [tuple(b) for b in bases]
     if universe is None:
         universe = set().union(*bases)
-    ids = sorted(universe)
-    pos = {rid: i for i, rid in enumerate(ids)}
-    full = (1 << len(ids)) - 1
+    pos = {rid: i for i, rid in enumerate(sorted(universe))}
     masks = []
-    holding = [0] * len(ids)  # bit i of holding[r]: basis i holds ray r
-    for i, b in enumerate(bases):
+    for b in bases:
         mask = 0
         for rid in b:
             if rid not in pos:
                 raise ValueError("basis ray %r outside the universe" % (rid,))
             mask |= 1 << pos[rid]
-            holding[pos[rid]] |= 1 << i
         masks.append(mask)
-    clash = []  # bit j of clash[i]: bases i and j share a ray
-    for b in bases:
-        clash.append(0)
-        for rid in b:
-            clash[-1] |= holding[pos[rid]]
-
-    found = []
-    stack = [((), 0, (1 << len(masks)) - 1)]
-    while stack:
-        chosen, covered, avail = stack.pop()
-        if covered == full:
-            if len(chosen) == 5:
-                found.append(tuple(sorted(chosen)))
-        elif len(chosen) < 5:
-            lowest = ~covered & (covered + 1)
-            cand = holding[lowest.bit_length() - 1] & avail
-            while cand:
-                i = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                stack.append((chosen + (i,), covered | masks[i],
-                              avail & ~clash[i]))
-    return sorted(found)
+    index = _cover_index(masks, (1 << len(pos)) - 1)
+    return sorted(_exact_covers(index, (1 << len(masks)) - 1))
 
 
 @dataclass(frozen=True)
@@ -94,6 +122,9 @@ def search_small_proof(graph: OrthoGraph, bases, seed: int = 0,
     colorability.  The first non-colorable sample is greedily minimized:
     bases are dropped one at a time, in ascending index order, whenever
     the remainder still contains a partition and stays non-colorable.
+    Each trial selects from the sample's instance and partition index,
+    built once per restart.  A drawn partition that is not five of the
+    bases tiling all rays raises ``ValueError``.
     """
     bases = [tuple(b) for b in bases]
     if max_size < 5:
@@ -104,38 +135,48 @@ def search_small_proof(graph: OrthoGraph, bases, seed: int = 0,
         return ProofCandidate("budget_exhausted", (), (), 0, None, seed,
                               None, 0)
 
-    universe = set().union(*bases)
-
-    def has_partition(indices) -> bool:
-        sub = [bases[i] for i in indices]
-        return bool(find_partitions(sub, universe=universe))
-
-    def colorable(indices) -> ColoringResult:
-        inst = KSInstance.build(graph, [bases[i] for i in indices])
-        return check_colorable(inst)
+    # Ray bits over the graph; a ray outside it gets bit graph.n, which no
+    # instance holds, so no sample can tile it.
+    full = 0
+    for rid in set().union(*bases):
+        full |= 1 << graph.position.get(rid, graph.n)
 
     for k in range(budget):
         rng = random.Random("%d:%d" % (seed, k))
-        chosen = set(partitions[rng.randrange(len(partitions))])
+        part = partitions[rng.randrange(len(partitions))]
+        untiled = "partition %r does not tile the rays" % (part,)
+        seeded = set(part)
+        if len(seeded) != 5 or not all(0 <= i < len(bases) for i in seeded):
+            raise ValueError(untiled)
+        chosen = set(seeded)
         others = [i for i in range(len(bases)) if i not in chosen]
         while len(chosen) < min(max_size, len(bases)) and others:
             chosen.add(others.pop(rng.randrange(len(others))))
         current = sorted(chosen)
-        result = colorable(current)
+        # Every trial below is a selection of this sample's positions.
+        inst = KSInstance.build(graph, [bases[i] for i in current])
+        index = _cover_index(inst.basis_masks, full)
+        if not _exact_covers(index, sum(1 << j for j, i in enumerate(current)
+                                        if i in seeded), first=True):
+            raise ValueError(untiled)
+        result = check_colorable(inst)
         if result.status != "non_colorable":
             continue
+        keep = list(range(len(current)))
+        kept = (1 << len(keep)) - 1
         changed = True
         while changed:
             changed = False
-            for drop in list(current):
-                trial = [i for i in current if i != drop]
-                if not has_partition(trial):
+            for drop in list(keep):
+                avail = kept & ~(1 << drop)
+                if not _exact_covers(index, avail, first=True):
                     continue
-                trial_result = colorable(trial)
+                trial = [j for j in keep if j != drop]
+                trial_result = check_colorable(inst.restrict(trial))
                 if trial_result.status == "non_colorable":
-                    current, result = trial, trial_result
+                    keep, kept, result = trial, avail, trial_result
                     changed = True
-        final = tuple(current)
+        final = tuple(current[j] for j in keep)
         return ProofCandidate("found", final,
                               tuple(bases[i] for i in final), len(final), k,
                               seed, result, k + 1)

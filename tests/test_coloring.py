@@ -1,7 +1,7 @@
 """Tests for KS instances, the coloring solver, and CNF export."""
 import hashlib
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -330,6 +330,53 @@ def _random_subfamily(rng, all_bases, all_partitions):
     return [all_bases[i] for i in chosen]
 
 
+def _unsorted_instance() -> KSInstance:
+    """Four bases over a graph whose positions 0..5 hold ids 7, 3, 11, 5, 2,
+    4; the edges (by id) are 7-3, 3-11, 11-5, 5-2, 2-7, 3-2 and 4-7."""
+    ids = (7, 3, 11, 5, 2, 4)
+    edges = [(7, 3), (3, 11), (11, 5), (5, 2), (2, 7), (3, 2), (4, 7)]
+    at = {rid: i for i, rid in enumerate(ids)}
+    rows = [0] * len(ids)
+    for a, b in edges:
+        rows[at[a]] |= 1 << at[b]
+        rows[at[b]] |= 1 << at[a]
+    graph = OrthoGraph(ids=ids, rows=tuple(rows), dim=2)
+    return KSInstance.build(graph, [(11, 5), (7, 3), (2, 5), (3, 2)])
+
+
+class TestRestrict:
+    """A selection of an instance's bases equals the instance built anew."""
+
+    @staticmethod
+    def _assert_restricts(inst, keep):
+        expected = KSInstance.build(inst.graph,
+                                    [inst.bases[k] for k in keep])
+        restricted = inst.restrict(keep)
+        assert restricted.graph is expected.graph
+        assert restricted.ray_ids == expected.ray_ids, keep
+        assert restricted.bases == expected.bases, keep
+        assert restricted.basis_masks == expected.basis_masks, keep
+
+    def test_random_selections(self, ortho_graph, all_bases, all_partitions):
+        rng = random.Random(20)
+        for _ in range(200):
+            inst = KSInstance.build(
+                ortho_graph, _random_subfamily(rng, all_bases, all_partitions))
+            n = len(inst.bases)
+            self._assert_restricts(inst, rng.sample(range(n),
+                                                    rng.randint(0, n)))
+
+    def test_empty_selection(self, proof_instance):
+        self._assert_restricts(proof_instance, [])
+        assert proof_instance.restrict([]).ray_ids == ()
+
+    def test_ids_out_of_position_order(self):
+        inst = _unsorted_instance()
+        for r in range(len(inst.bases) + 1):
+            for keep in permutations(range(len(inst.bases)), r):
+                self._assert_restricts(inst, keep)
+
+
 @pytest.fixture(scope="module")
 def search_trials(ortho_graph, all_bases, all_partitions):
     """Every distinct instance three seeded searches hand to the solver."""
@@ -458,21 +505,9 @@ class TestExportAgainstReference:
         assert export_cnf(inst) == _reference_export_cnf(inst)
 
     def test_ids_out_of_position_order(self):
-        """Variables follow sorted ray ids, not graph positions.
-
-        Positions 0..5 hold ids 7, 3, 11, 5, 2, 4; the edges (by id) are
-        7-3, 3-11, 11-5, 5-2, 2-7, 3-2 and 4-7, and ray 4 is in no basis,
-        so its bits in the rows must not produce a clause.
-        """
-        ids = (7, 3, 11, 5, 2, 4)
-        edges = [(7, 3), (3, 11), (11, 5), (5, 2), (2, 7), (3, 2), (4, 7)]
-        at = {rid: i for i, rid in enumerate(ids)}
-        rows = [0] * len(ids)
-        for a, b in edges:
-            rows[at[a]] |= 1 << at[b]
-            rows[at[b]] |= 1 << at[a]
-        graph = OrthoGraph(ids=ids, rows=tuple(rows), dim=2)
-        inst = KSInstance.build(graph, [(11, 5), (7, 3), (2, 5), (3, 2)])
+        """Variables follow sorted ray ids, not graph positions; ray 4 is
+        in no basis, so its bits in the rows must not produce a clause."""
+        inst = _unsorted_instance()
         assert inst.ortho_pairs == ((2, 3), (2, 5), (2, 7), (3, 7), (3, 11),
                                     (5, 11))
         text = export_cnf(inst)

@@ -5,9 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from bks5 import catalog
+from bks5 import catalog, search
 from bks5.coloring import KSInstance, check_colorable
-from bks5.search import find_partitions, search_small_proof
+from bks5.search import ProofCandidate, find_partitions, search_small_proof
 
 
 class TestFindPartitions:
@@ -133,17 +133,27 @@ def _tilings(bases, universe):
 
 @pytest.fixture(scope="module")
 def drop_trials(ortho_graph, all_bases, all_partitions):
-    """Every family three seeded searches test for a partition."""
+    """Every family three seeded searches test for a partition, as ray ids,
+    with the universe and the search's verdict."""
+    covers = search._exact_covers
+
+    def rays(mask):
+        return [ortho_graph.ids[b] for b in range(mask.bit_length())
+                if mask >> b & 1]
+
     trials = {}
     for seed, max_size in [(1, 20), (2, 13), (0, 30)]:
         seen = []
 
-        def record(bases, universe=None, seen=seen):
-            seen.append((list(bases), universe))
-            return find_partitions(bases, universe=universe)
+        def record(index, avail, first=False, seen=seen):
+            found = covers(index, avail, first)
+            family = [tuple(sorted(rays(mask)))
+                      for j, mask in enumerate(index.masks) if avail >> j & 1]
+            seen.append((family, set(rays(index.full)), bool(found)))
+            return found
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("bks5.search.find_partitions", record)
+            mp.setattr(search, "_exact_covers", record)
             search_small_proof(ortho_graph, all_bases, seed=seed,
                                max_size=max_size, partitions=all_partitions)
         trials[seed, max_size] = seen
@@ -164,10 +174,10 @@ class TestAgainstReference:
     def test_drop_trials_match_reference(self, seed, max_size, drop_trials):
         trials = drop_trials[seed, max_size]
         assert trials
-        for bases, universe in trials:
-            assert universe is not None
-            assert find_partitions(bases, universe=universe) == \
-                _reference_find_partitions(bases, universe=universe)
+        for bases, universe, verdict in trials:
+            assert universe == set(range(1, 161))
+            assert verdict == bool(_reference_find_partitions(bases,
+                                                              universe))
 
     def test_random_families_match_reference(self, all_bases, all_partitions):
         rng = random.Random(9)
@@ -272,8 +282,112 @@ class TestSearchSmallProof:
         candidate = search_small_proof(ortho_graph, proof_bases[:4], seed=0)
         assert candidate.status == "budget_exhausted"
 
+    @pytest.mark.parametrize("part", [(0, 1, 2, 3, 4), (0, 1, 2, 3, 999),
+                                      (30, 30, 89, 246, 295)])
+    def test_seed_partition_must_tile(self, part, ortho_graph, all_bases):
+        """Five bases that overlap, an index past the end, and a repeated
+        index are each rejected by name, whatever the sample around them."""
+        assert find_partitions([all_bases[i] for i in part
+                                if i < len(all_bases)],
+                               universe=range(1, 161)) == []
+        with pytest.raises(ValueError, match=r"partition \(%s\) does not "
+                           "tile" % ", ".join(map(str, part))):
+            search_small_proof(ortho_graph, all_bases, seed=0, max_size=30,
+                               partitions=[part])
+
     def test_max_size_below_partition_rejected(self, ortho_graph, all_bases,
                                                all_partitions):
         with pytest.raises(ValueError, match="at least 5"):
             search_small_proof(ortho_graph, all_bases, max_size=4,
                                partitions=all_partitions)
+
+
+def _reference_search_small_proof(graph, bases, seed=0, max_size=30,
+                                  budget=64, partitions=None):
+    """The search that rebuilds every drop trial: a new ``KSInstance`` from
+    ray ids, and a partition test through ``find_partitions`` over the
+    trial's bases."""
+    bases = [tuple(b) for b in bases]
+    if max_size < 5:
+        raise ValueError("max_size must be at least 5")
+    if partitions is None:
+        partitions = find_partitions(bases)
+    if not partitions or budget <= 0:
+        return ProofCandidate("budget_exhausted", (), (), 0, None, seed,
+                              None, 0)
+
+    universe = set().union(*bases)
+
+    def has_partition(indices):
+        sub = [bases[i] for i in indices]
+        return bool(find_partitions(sub, universe=universe))
+
+    def colorable(indices):
+        inst = KSInstance.build(graph, [bases[i] for i in indices])
+        return check_colorable(inst)
+
+    for k in range(budget):
+        rng = random.Random("%d:%d" % (seed, k))
+        chosen = set(partitions[rng.randrange(len(partitions))])
+        others = [i for i in range(len(bases)) if i not in chosen]
+        while len(chosen) < min(max_size, len(bases)) and others:
+            chosen.add(others.pop(rng.randrange(len(others))))
+        current = sorted(chosen)
+        result = colorable(current)
+        if result.status != "non_colorable":
+            continue
+        changed = True
+        while changed:
+            changed = False
+            for drop in list(current):
+                trial = [i for i in current if i != drop]
+                if not has_partition(trial):
+                    continue
+                trial_result = colorable(trial)
+                if trial_result.status == "non_colorable":
+                    current, result = trial, trial_result
+                    changed = True
+        final = tuple(current)
+        return ProofCandidate("found", final,
+                              tuple(bases[i] for i in final), len(final), k,
+                              seed, result, k + 1)
+    return ProofCandidate("budget_exhausted", (), (), 0, None, seed, None,
+                          budget)
+
+
+class TestAgainstReferenceSearch:
+    """The search against the one that rebuilds every drop trial: equal
+    candidates, down to the colouring counters, restart and attempts."""
+
+    @pytest.mark.parametrize("max_size", range(6, 41))
+    def test_seeded_searches_match_reference(self, max_size, ortho_graph,
+                                             all_bases, all_partitions):
+        rng = random.Random(max_size)
+        for seed in (rng.randrange(1 << 30), rng.randrange(1 << 30)):
+            args = (ortho_graph, all_bases, seed, max_size)
+            expected = _reference_search_small_proof(
+                *args, partitions=all_partitions)
+            assert expected.status == "found"
+            assert search_small_proof(*args, partitions=all_partitions) == \
+                expected, seed
+
+    @pytest.mark.parametrize("kwargs", [{}, {"budget": 0}],
+                             ids=["defaults", "budget0"])
+    def test_seed_zero_matches_reference(self, kwargs, ortho_graph,
+                                         all_bases, all_partitions):
+        expected = _reference_search_small_proof(
+            ortho_graph, all_bases, partitions=all_partitions, **kwargs)
+        assert search_small_proof(ortho_graph, all_bases,
+                                  partitions=all_partitions,
+                                  **kwargs) == expected
+
+    @pytest.mark.parametrize("count", [4, 21], ids=["four", "proof"])
+    def test_proof_families_match_reference(self, count, ortho_graph,
+                                            proof_bases):
+        """Four bases hold no partition; the 21 hold one, and with the
+        default max_size the sample is all of them."""
+        family = proof_bases[:count]
+        expected = _reference_search_small_proof(ortho_graph, family)
+        assert expected.status == ("found" if count == 21
+                                   else "budget_exhausted")
+        assert search_small_proof(ortho_graph, family) == expected
