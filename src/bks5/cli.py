@@ -65,10 +65,11 @@ class _Derived:
         lambda self: enumerate_maximal_bases(self.graph))
 
 
-def _census(bases) -> tuple:
-    """Count, full digest, and the proof and block bases not in ``bases``."""
+def _census(graph, bases) -> tuple:
+    """Orthogonal pairs, basis count, full digest, and the proof and block
+    bases not in ``bases``."""
     present = {tuple(sorted(b)) for b in bases}
-    return (len(bases), bases_sha256(bases),
+    return (graph.edge_count(), len(bases), bases_sha256(bases),
             [b for b in catalog.proof_bases() + catalog.block_bases()
              if tuple(sorted(b)) not in present])
 
@@ -109,7 +110,7 @@ def cmd_bases(args) -> int:
     census, expected = _maximal_bases(d)
     ok = census == expected
     print("bases: %d enumerated, census %s (sha256 %s...)"
-          % (census[0], "verified" if ok else "MISMATCH", census[1][:12]))
+          % (census[1], "verified" if ok else "MISMATCH", census[2][:12]))
     return 0 if ok else 1
 
 
@@ -206,7 +207,9 @@ def _magic_parity(d):
 
 
 def _maximal_bases(d):
-    return _census(d.bases), (catalog.BASIS_COUNT, catalog.BASES_SHA256, [])
+    return (_census(d.graph, d.bases),
+            (catalog.ORTHO_PAIR_COUNT, catalog.BASIS_COUNT,
+             catalog.BASES_SHA256, []))
 
 
 def _non_colorable(graph, bases):

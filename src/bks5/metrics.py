@@ -20,7 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .rays import RayTable
+from .rays import RayTable, pauli_ray_permutations, row_permutation
 
 
 def hs_distance_squared(table: RayTable, basis_a, basis_b) -> Fraction:
@@ -47,8 +47,8 @@ def _check_basis(gram, basis, d) -> list:
     if rows and not (0 <= min(rows) and max(rows) < len(gram)):
         rid = next(r for r in rows if not 0 <= r < len(gram)) + 1
         raise ValueError("ray id %d is outside 1..%d" % (rid, len(gram)))
-    sub = gram[np.ix_(rows, rows)]
-    if np.any(sub - np.diag(np.diag(sub))):
+    sub = gram.take(rows, axis=0).take(rows, axis=1)
+    if np.count_nonzero(sub) > np.count_nonzero(np.diagonal(sub)):
         raise ValueError("basis rays are not pairwise orthogonal")
     return rows
 
@@ -95,9 +95,23 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     """Spectrum over all unordered pairs from ``bases``, exactly.
 
     The fast path scales every squared overlap by K = lcm(norms)^4 so all
-    intermediate sums are integers; a single integer matrix product then
-    accumulates each pair's overlap total.  Pair totals are grouped as
-    integers and one Fraction is built per distinct total.
+    intermediate sums are integers, and sums the overlap totals of every
+    basis against one representative per basis orbit.  Totals are
+    grouped as integers and one Fraction is built per distinct total.
+
+    The orbits are those of the single-qubit Paulis X_q and Z_q.  Each
+    permutes the coordinates with signs, and a signed permutation is
+    orthogonal, so it fixes every squared overlap p_ab and hence every
+    D^2; ``pauli_ray_permutations`` checks at run time that each maps
+    the table onto itself and fixes the squared Gram matrix.  The orbit
+    path applies only when every generator also maps ``bases`` onto
+    itself one to one.  Then the bases of an orbit meet the same
+    multiset of D^2 values in the list, so one representative's row,
+    its counts weighted by the orbit size, stands for all of them.  A
+    repeated basis or a single image outside the list (as for the
+    21-basis proof) makes every basis its own representative, which is
+    the full pair product.  Either way each unordered pair is counted
+    once from each end, so every weighted count is even and is halved.
 
     The int64 arithmetic cannot overflow once d*K fits in an int64.  Every
     scaled entry is p_ab^2 * K <= K, since p_ab <= 1 and its denominator
@@ -109,12 +123,15 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     exceeds its final total.  A table whose d*K does not fit raises
     OverflowError instead of wrapping.
     """
-    bases = [tuple(b) for b in bases]
     gram = table.gram
-    d = table.entries_matrix().shape[1]
-    selector = np.zeros((len(bases), len(table)), dtype=np.int64)
-    for bi, b in enumerate(bases):
-        selector[bi, _check_basis(gram, b, d)] = 1
+    entries = table.entries_matrix()
+    d = entries.shape[1]
+    cells = np.array([_check_basis(gram, b, d) for b in bases],
+                     dtype=np.intp).reshape(-1, d)
+    n = len(cells)
+    orbit = _orbit_labels(entries, gram, cells)
+    reps = np.flatnonzero(orbit == np.arange(n))
+    sizes = np.bincount(orbit)[reps]
     norms = np.diag(gram).astype(np.int64)
     scale = lcm(*(int(x) for x in norms)) ** 4
     limit = int(np.iinfo(np.int64).max)
@@ -126,18 +143,61 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     if np.any(scale % denom):
         raise AssertionError("norm scaling is not integral")
     scaled = (gram.astype(np.int64) ** 4) * (scale // denom)
-    totals = selector @ scaled @ selector.T
-    wrong = np.flatnonzero(np.diagonal(totals) != d * scale)
+    # A basis picks d rays, so each product with the 0/1 basis incidence
+    # is a sum of d gathered rows: every ray against each representative,
+    # then every basis against each representative.
+    ray_totals = np.zeros((len(gram), len(reps)), dtype=np.int64)
+    for column in cells[reps].T:
+        ray_totals += scaled[:, column]
+    totals = np.zeros((n, len(reps)), dtype=np.int64)
+    for column in cells.T:
+        totals += ray_totals[column]
+    wrong = np.flatnonzero(totals[reps, np.arange(len(reps))] != d * scale)
     if wrong.size:
         raise AssertionError("self-distance of basis %d is not zero"
-                             % wrong[0])
+                             % reps[wrong[0]])
     by_total = Counter()
-    for i in range(len(bases) - 1):
-        values, counts = np.unique(totals[i, i + 1:], return_counts=True)
-        by_total.update(dict(zip(values.tolist(), counts.tolist())))
-    pairs = {Fraction(d * scale - t, (d - 1) * scale): c
-             for t, c in by_total.items()}
-    return DistanceSpectrum(basis_count=len(bases), pairs=pairs)
+    for size in sorted(set(sizes.tolist())):
+        values, counts = np.unique(totals[:, sizes == size],
+                                   return_counts=True)
+        by_total.update(dict(zip(values.tolist(), (size * counts).tolist())))
+    # Each basis met itself once, with the total d*K checked above.
+    by_total[d * scale] -= n
+    if any(c % 2 for c in by_total.values()):
+        raise AssertionError("a weighted pair count is odd")
+    pairs = {Fraction(d * scale - t, (d - 1) * scale): c // 2
+             for t, c in by_total.items() if c}
+    return DistanceSpectrum(basis_count=n, pairs=pairs)
+
+
+def _orbit_labels(entries, gram, cells) -> np.ndarray:
+    """Each basis's orbit label under X_q and Z_q: its orbit's first index.
+
+    ``cells`` holds each basis's row indices.  The orbits are used only
+    when every generator maps the bases onto themselves one to one;
+    checking stops at the first generator that does not, and then, as
+    for a list with a repeated basis, each basis is labelled by itself.
+    """
+    labels = np.arange(len(cells))
+    member = np.zeros((len(cells), len(entries)), dtype=bool)
+    np.put_along_axis(member, cells, True, axis=1)
+    moves = []
+    for perm in pauli_ray_permutations(entries, gram):
+        if perm is None:
+            return labels
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(len(perm))
+        move = row_permutation(member, member[:, inverse])
+        if move is None:
+            return labels
+        moves.append(move)
+    while True:
+        merged = labels
+        for move in moves:
+            merged = np.minimum(merged, merged[move])
+        if np.array_equal(merged, labels):
+            return labels
+        labels = merged
 
 
 def format_distance(value: Fraction) -> str:

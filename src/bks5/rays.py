@@ -27,7 +27,11 @@ class RayTableError(Exception):
 
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """Each nonzero integer row scaled to content 1, first nonzero entry +1."""
-    rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
+    return _signed_rows(rows // np.gcd.reduce(rows, axis=1)[:, None])
+
+
+def _signed_rows(rows: np.ndarray) -> np.ndarray:
+    """Each nonzero row times the sign of its first nonzero entry."""
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     return rows * np.sign(lead)[:, None]
 
@@ -208,6 +212,65 @@ class RayTable:
             w.writerow(["id"] + ["e%d" % i for i in range(1, 33)])
             for r in self.rays:
                 w.writerow([r.id] + list(r.entries))
+
+
+def row_permutation(rows: np.ndarray, images: np.ndarray):
+    """``perm`` with ``images[i] == rows[perm[i]]`` for every i, or None.
+
+    None unless ``images`` is ``rows`` reordered and the rows are
+    distinct.  Both are sorted by their bytes, so the rows are matched
+    with one sort each instead of a lookup per row.
+    """
+    order, image_order = _byte_order(rows), _byte_order(images)
+    ranked = rows[order]
+    if (np.any(np.all(ranked[1:] == ranked[:-1], axis=1))
+            or not np.array_equal(images[image_order], ranked)):
+        return None
+    perm = np.empty(len(rows), dtype=np.intp)
+    perm[image_order] = order
+    return perm
+
+
+def _byte_order(rows: np.ndarray) -> np.ndarray:
+    """An order that sorts the rows of a 2-d array by their raw bytes."""
+    rows = np.ascontiguousarray(rows)
+    key = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+    return np.argsort(rows.view(key).ravel())
+
+
+def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray):
+    """The ray permutations that X_q and Z_q induce, one generator at a time.
+
+    ``entries`` holds one ray per row and ``gram`` their inner products;
+    the row length 2^n gives the qubit count n.  Each single-qubit X_q
+    and Z_q is a signed coordinate permutation (``apply_pauli``), so it
+    sends every row to +/- another integer vector, which sign
+    canonicalisation makes comparable with the rows.  Yields ``perm``
+    with ``perm[i]`` the row index of the image of row i, in the order
+    X_1, Z_1, ..., X_n, Z_n.  A generator that moves some row off the
+    table yields None, and nothing follows it; a row length that is not a
+    power of two yields nothing.
+
+    A signed permutation is orthogonal, so it fixes every squared inner
+    product; each ``perm`` is checked to map the squared Gram matrix onto
+    itself, and an AssertionError names a generator that does not.
+    """
+    dim = entries.shape[1]
+    n = dim.bit_length() - 1
+    if dim != 1 << n:
+        return
+    squares = gram ** 2
+    for q in range(n - 1, -1, -1):
+        for op in (PauliOp(n, 1 << q, 0), PauliOp(n, 0, 1 << q)):
+            perm = row_permutation(
+                entries, _signed_rows(apply_pauli(op, entries.T).T))
+            if perm is None:
+                yield None
+                return
+            if not np.array_equal(squares[np.ix_(perm, perm)], squares):
+                raise AssertionError("%s does not preserve the squared "
+                                     "Gram matrix" % op)
+            yield perm
 
 
 def five_sets() -> dict:

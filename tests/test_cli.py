@@ -201,6 +201,22 @@ class TestDistancesCommand:
             "histogram-proof.svg": "76d5c3748a68784fa43d6d1978d6d3ea"
                                    "daf91f6669b4b71b853592f3d3fcbdb7"}
 
+    ALL_SHA256 = {
+        "histogram-all.csv": "38232112c7dabb419c38d51f26082e19"
+                             "8375333028e21983524eca52f1179fb0",
+        "histogram-all.svg": "811481b0f33851b8fff08e0d45d37154"
+                             "d01b90ce86dae2ffa2e97ad1cecfc7b9",
+    }
+
+    def test_all_bases_artifact_bytes_are_pinned(self, tmp_path, capsys):
+        code, out = run(tmp_path, "distances", "--bases", "all",
+                        "--format", "csv,svg")
+        assert code == 0
+        assert sha256s(out, self.ALL_SHA256) == self.ALL_SHA256
+        assert capsys.readouterr().out == (
+            "distances[all]: 661 bases, 77 distinct values; "
+            "top D^2: 16/31 (x13824), 20/31 (x12352)\n")
+
     def test_unknown_format_exits_nonzero(self, tmp_path, capsys):
         code, _ = run(tmp_path, "distances", "--format", "png")
         assert code == 1
@@ -282,6 +298,21 @@ class TestVerifyCommand:
                 if verdict == "FAIL"} == {"geometry"}
         reason = lines[lines.index("%-22s FAIL" % "geometry") + 1]
         assert reason == "    reason: ValueError: no generator split"
+
+    def test_wrong_ortho_pair_count_fails_maximal_bases(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.setattr(catalog, "ORTHO_PAIR_COUNT",
+                            catalog.ORTHO_PAIR_COUNT + 1)
+        code, _ = run(tmp_path, "verify")
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("verify: 9/10 checks passed")
+        at = lines.index("%-22s FAIL" % "maximal_bases")
+        assert re.fullmatch(r"    reason: got \(9520, 661, .*\), "
+                            r"expected \(9521, 661, .*\)", lines[at + 1])
+        assert [line for line in lines[:-1] if line.endswith("PASS")] == \
+            ["%-22s PASS" % name for name in VERIFY_CHECKS
+             if name != "maximal_bases"]
 
     def test_failing_checks_say_why(self, tmp_path, monkeypatch, capsys):
         def no_bases(graph):

@@ -1,14 +1,41 @@
 """Tests for exact Hilbert-Schmidt distances, spectra, and histograms."""
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
-from bks5 import catalog
-from bks5.metrics import (DistanceSpectrum, distance_spectrum, emit_histogram,
-                          format_distance, hs_distance_squared)
+from bks5 import catalog, metrics
+from bks5.metrics import (DistanceSpectrum, _check_basis, _orbit_labels,
+                          distance_spectrum, emit_histogram, format_distance,
+                          hs_distance_squared)
+
+
+def full_pair_spectrum(table, bases) -> DistanceSpectrum:
+    """The product over every pair of bases, kept as the oracle.
+
+    This is ``distance_spectrum`` without orbits: the totals of every
+    basis against every basis, counted over the strict upper triangle.
+    """
+    gram = table.gram
+    d = table.entries_matrix().shape[1]
+    selector = np.zeros((len(bases), len(table)), dtype=np.int64)
+    for bi, b in enumerate(bases):
+        selector[bi, _check_basis(gram, b, d)] = 1
+    norms = np.diag(gram).astype(np.int64)
+    scale = lcm(*(int(x) for x in norms)) ** 4
+    if d * scale > np.iinfo(np.int64).max:
+        raise OverflowError("d*lcm(norms)^4 exceeds the int64 maximum")
+    denom = np.outer(norms, norms) ** 2
+    totals = selector @ ((gram ** 4) * (scale // denom)) @ selector.T
+    assert np.all(np.diagonal(totals) == d * scale)
+    upper = totals[np.triu_indices(len(bases), 1)]
+    return DistanceSpectrum(len(bases), {
+        Fraction(d * scale - t, (d - 1) * scale): c
+        for t, c in Counter(upper.tolist()).items()})
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +168,98 @@ class TestDistanceSpectrum:
     def test_mismatched_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="C\\(n, 2\\)"):
             DistanceSpectrum(basis_count=3, pairs={Fraction(1, 2): 1})
+
+
+@pytest.fixture(scope="module")
+def orbits(ray_table, all_bases):
+    """The 661 bases' indices, grouped by X_q and Z_q orbit."""
+    cells = np.array(all_bases) - 1
+    labels = _orbit_labels(ray_table.entries_matrix(), ray_table.gram, cells)
+    groups = {}
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    return list(groups.values())
+
+
+def orbit_count(table, bases) -> int:
+    cells = np.array(bases) - 1
+    return len(set(_orbit_labels(table.entries_matrix(), table.gram,
+                                 cells).tolist()))
+
+
+class TestOrbitSpectrum:
+    """One row per Pauli orbit gives the full pair product's spectrum."""
+
+    def test_all_bases_split_into_118_orbits(self, orbits):
+        assert len(orbits) == 118
+        assert Counter(map(len, orbits)) == {1: 5, 2: 28, 4: 36, 8: 41,
+                                             16: 8}
+
+    def test_all_bases_match_full_product(self, ray_table, all_bases,
+                                          spectrum661):
+        assert spectrum661 == full_pair_spectrum(ray_table, all_bases)
+
+    @pytest.mark.parametrize("name", ["proof_bases", "block_bases"])
+    def test_catalog_families_match_full_product(self, ray_table, name,
+                                                 request):
+        bases = request.getfixturevalue(name)
+        assert distance_spectrum(ray_table, bases) == \
+            full_pair_spectrum(ray_table, bases)
+
+    def test_orbit_unions_match_full_product(self, ray_table, all_bases,
+                                             orbits):
+        """Closed lists, in shuffled order, take the orbit path."""
+        rng = random.Random(21)
+        for _ in range(6):
+            chosen = rng.sample(orbits, rng.randint(1, 20))
+            bases = [all_bases[i] for orbit in chosen for i in orbit]
+            rng.shuffle(bases)
+            assert orbit_count(ray_table, bases) == len(chosen)
+            assert distance_spectrum(ray_table, bases) == \
+                full_pair_spectrum(ray_table, bases)
+
+    def test_open_sublists_match_full_product(self, ray_table, all_bases):
+        rng = random.Random(661)
+        for _ in range(20):
+            bases = rng.sample(all_bases, rng.randint(2, 60))
+            assert orbit_count(ray_table, bases) == len(bases)
+            assert distance_spectrum(ray_table, bases) == \
+                full_pair_spectrum(ray_table, bases)
+
+    def test_repeated_basis_takes_the_full_product(self, ray_table,
+                                                   all_bases, orbits):
+        closed = [all_bases[i] for orbit in orbits[:12] for i in orbit]
+        bases = closed + [closed[3]]
+        assert orbit_count(ray_table, closed) == 12
+        assert orbit_count(ray_table, bases) == len(bases)
+        spectrum = distance_spectrum(ray_table, bases)
+        assert spectrum == full_pair_spectrum(ray_table, bases)
+        assert spectrum.pairs[Fraction(0)] == 1
+
+    def test_proof_stops_at_the_first_generator(self, ray_table,
+                                                proof_bases, monkeypatch):
+        pulled = []
+        generators = metrics.pauli_ray_permutations
+
+        def counted(entries, gram):
+            for perm in generators(entries, gram):
+                pulled.append(perm)
+                yield perm
+
+        monkeypatch.setattr(metrics, "pauli_ray_permutations", counted)
+        distance_spectrum(ray_table, proof_bases)
+        assert len(pulled) == 1 and pulled[0] is not None
+
+    def test_stub_below_the_bound_matches_full_product(self):
+        table = _StubTable(215)
+        assert distance_spectrum(table, [(1, 2), (3, 4)]) == \
+            full_pair_spectrum(table, [(1, 2), (3, 4)])
+
+    def test_stub_above_the_bound_overflows_in_both(self):
+        table = _StubTable(216)
+        for spectrum in (distance_spectrum, full_pair_spectrum):
+            with pytest.raises(OverflowError, match="int64"):
+                spectrum(table, [(1, 2), (3, 4)])
 
 
 class _StubTable:

@@ -12,7 +12,8 @@ from bks5.pauli import (CommutingSet, PauliOp, apply_pauli, commutes,
                         is_symmetric, make_pauli, pauli_to_matrix)
 from bks5.rays import (Ray, RayTable, RayTableError, _validate_table,
                        build_ray_table, canonical_entries, five_sets,
-                       identify_block, joint_eigenrays, partner)
+                       identify_block, joint_eigenrays, partner,
+                       pauli_ray_permutations, row_permutation)
 
 
 class TestJointEigenrays:
@@ -181,6 +182,70 @@ class TestRayTable:
 
     def test_rays_pairwise_distinct(self, ray_table):
         assert len({r.entries for r in ray_table.rays}) == 160
+
+
+class TestPauliRayPermutations:
+    """The ray permutations induced by the single-qubit X_q and Z_q."""
+
+    @pytest.fixture(scope="class")
+    def perms(self, ray_table):
+        return list(pauli_ray_permutations(ray_table.entries_matrix(),
+                                           ray_table.gram))
+
+    def test_each_generator_is_a_ray_permutation(self, perms):
+        assert len(perms) == 10
+        for perm in perms:
+            assert sorted(perm.tolist()) == list(range(160))
+
+    def test_images_match_the_kronecker_matrices(self, ray_table, perms):
+        """X_1, Z_1, ..., X_5, Z_5 send each ray to +/- its listed image."""
+        entries = ray_table.entries_matrix()
+        specs = ["I" * q + f + "I" * (4 - q) for q in range(5) for f in "XZ"]
+        for spec, perm in zip(specs, perms):
+            images = entries @ pauli_to_matrix(make_pauli(spec)).T
+            signs = np.sign((images * entries[perm]).sum(axis=1))
+            assert np.array_equal(images, signs[:, None] * entries[perm]), \
+                spec
+
+    def test_each_preserves_the_squared_gram_matrix(self, ray_table, perms):
+        squares = ray_table.gram ** 2
+        for perm in perms:
+            assert np.array_equal(squares[np.ix_(perm, perm)], squares)
+
+    def test_a_gram_matrix_it_does_not_fix_is_named(self, ray_table):
+        gram = ray_table.gram.copy()
+        gram[0, 1] = gram[1, 0] = 7
+        with pytest.raises(AssertionError,
+                           match="^XIIII does not preserve the squared "
+                                 "Gram matrix$"):
+            list(pauli_ray_permutations(ray_table.entries_matrix(), gram))
+
+    def test_a_row_moved_off_the_table_stops_the_generators(self):
+        """X maps (2, 1) to (1, 2), which is not a row."""
+        entries = np.array([[2, 1], [1, -2]], dtype=np.int64)
+        assert list(pauli_ray_permutations(entries, entries @ entries.T)) \
+            == [None]
+
+    def test_length_not_a_power_of_two_yields_nothing(self):
+        entries = np.eye(3, dtype=np.int64)
+        assert list(pauli_ray_permutations(entries, entries)) == []
+
+
+class TestRowPermutation:
+    def test_reordered_rows(self):
+        rows = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
+        perm = row_permutation(rows, rows[[2, 0, 3, 1]])
+        assert perm.tolist() == [2, 0, 3, 1]
+
+    @pytest.mark.parametrize("images", [
+        [[1, 0], [0, 1], [1, 2]], [[1, 0], [0, 1], [1, 0]]])
+    def test_images_not_a_reordering(self, images):
+        rows = np.array([[1, 0], [0, 1], [1, 1]])
+        assert row_permutation(rows, np.array(images)) is None
+
+    def test_repeated_rows_name_no_permutation(self):
+        rows = np.array([[1, 0], [1, 0], [0, 1]])
+        assert row_permutation(rows, rows[::-1]) is None
 
 
 class TestPartner:
