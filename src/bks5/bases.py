@@ -10,16 +10,24 @@ greedily into independent sets, a clique takes at most one vertex from
 each, so a node whose P has fewer colour classes than the vertices still
 needed cannot reach the minimum size and is cut.  The same search and the
 bit-row packer serve every bitmask relation in the package.
+
+Given vertex permutations that map the graph onto itself, the search
+runs once per orbit instead of once per vertex at the root, and closes
+what it finds under the permutations.  A graph built from a ray table
+carries the permutations of the single-qubit Paulis X_q and Z_q, whose
+orbits on the 160 rays are the five blocks; the search over the whole
+graph without them is the same code with every orbit a single vertex.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import takewhile
 
 import numpy as np
 
-from .rays import RayTable
+from .rays import RayTable, orbit_labels, pauli_ray_permutations
 
 
 @dataclass(frozen=True)
@@ -28,12 +36,16 @@ class OrthoGraph:
 
     Vertices are 0-based positions; ``ids`` maps positions back to the
     caller's ray ids.  ``dim`` is the ambient vector-space dimension and
-    therefore the exact size of every complete basis.
+    therefore the exact size of every complete basis.  ``rays``, when
+    the graph was built from a ray table, are the table's rays, where its
+    ``automorphisms`` come from; they take no part in equality or
+    hashing.
     """
 
     ids: tuple
     rows: tuple
     dim: int
+    rays: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -47,16 +59,34 @@ class OrthoGraph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
+    @cached_property
+    def automorphisms(self) -> tuple:
+        """Vertex permutations for ``maximal_cliques`` to close cliques under.
+
+        For a graph built from a table, the ray permutations of X_q and
+        Z_q up to the first that moves a ray off the table; none for a
+        graph given by its rows alone.  ``maximal_cliques`` checks each
+        against the rows before it uses any.
+        """
+        if not self.rays:
+            return ()
+        entries = np.array([r.entries for r in self.rays], dtype=np.int64)
+        return tuple(takewhile(
+            lambda perm: perm is not None,
+            pauli_ray_permutations(entries, entries @ entries.T)))
+
 
 def build_ortho_graph(table: RayTable) -> OrthoGraph:
     """Exact integer inner products decide every edge.
 
     Bit j of row i is set when Gram entry (i, j) is zero; every ray has a
-    positive norm, so none is its own neighbour.
+    positive norm, so none is its own neighbour.  The graph keeps the
+    table's rays, from which its automorphisms are built on first use,
+    but not the table and its Gram matrix.
     """
     return OrthoGraph(ids=tuple(r.id for r in table.rays),
                       rows=pack_rows(table.gram == 0),
-                      dim=len(table.rays[0].entries))
+                      dim=len(table.rays[0].entries), rays=table.rays)
 
 
 def pack_rows(matrix) -> tuple:
@@ -78,17 +108,41 @@ def unpack_rows(rows, n: int) -> np.ndarray:
                          bitorder="little")
 
 
-def maximal_cliques(rows, min_size: int = 0) -> list[list]:
+def maximal_cliques(rows, min_size: int = 0, automorphisms=(),
+                    stats: dict | None = None) -> list[list]:
     """Every maximal clique with at least ``min_size`` vertices.
 
     ``rows[v]`` is the neighbour bitmask of vertex v, without v itself.
     Each clique is a list of vertex positions in the order the search
     added them; the cliques come in search order.
+
+    ``automorphisms`` are vertex permutations (``perm[v]`` is the image
+    of v), each checked to map ``rows`` onto itself; a ValueError names
+    the first that does not.  The root then branches once per orbit of
+    the group they generate that meets the pivot's branch set, through
+    the orbit's least vertex ``rep``, in the order of the orbits' least
+    vertices in that set.  The branch finds the maximal cliques that hold
+    ``rep`` and avoid the orbits branched on before; their images under
+    the group follow them, as ascending position lists.  Every maximal
+    clique meets the branch set, so some image of it holds the ``rep``
+    of the first branched orbit it meets and, orbits being invariant,
+    avoids the earlier ones: that branch finds the image.  Different
+    branches close to disjoint sets, so each clique comes once.  With no
+    automorphisms every orbit is one vertex, which is the plain root
+    step.
+
+    ``stats``, when given, receives the search nodes (``nodes``) and the
+    orbits branched on at the root (``orbits``).
     """
-    full = (1 << len(rows)) - 1
+    n = len(rows)
+    orbit_of = _orbit_masks(rows, automorphisms)
     found = []
+    nodes = 0
 
     def extend(r_count: int, r_vertices: list, p: int, x: int):
+        # The root returns its pivot's branch set instead of branching.
+        nonlocal nodes
+        nodes += 1
         need = min_size - r_count
         classes = 0
         uncoloured = p
@@ -100,13 +154,13 @@ def maximal_cliques(rows, min_size: int = 0) -> list[list]:
                 uncoloured ^= bit
                 q &= ~(rows[bit.bit_length() - 1] | bit)
         if classes < need:
-            return
+            return 0
         # The leaf test follows the bound: a maximal clique that is too
         # small has no candidates left, so the bound has already cut it.
         px = p | x
         if not px:
             found.append(r_vertices[:])
-            return
+            return 0
         pivot = -1
         best = -1
         m = px
@@ -118,6 +172,8 @@ def maximal_cliques(rows, min_size: int = 0) -> list[list]:
                 best = deg
                 pivot = v
         cand = p & ~rows[pivot]
+        if not r_count:
+            return cand
         while cand:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
@@ -128,25 +184,102 @@ def maximal_cliques(rows, min_size: int = 0) -> list[list]:
             p &= ~bit
             x |= bit
 
-    extend(0, [], full, 0)
+    branch = extend(0, [], (1 << n) - 1, 0)
+    done = orbits = 0
+    while branch:
+        orbit = orbit_of[(branch & -branch).bit_length() - 1]
+        rep = (orbit & -orbit).bit_length() - 1
+        branch &= ~orbit
+        start = len(found)
+        extend(1, [rep], rows[rep] & ~done, rows[rep] & done)
+        found += _images(found[start:], automorphisms, n)
+        done |= orbit
+        orbits += 1
     # ``extend`` reaches ``found`` and itself through its closure cells;
     # clearing its own cell frees them on return, not at the next
     # cyclic collection.
     del extend
+    if stats is not None:
+        stats.update(nodes=nodes, orbits=orbits)
     return found
 
 
-def enumerate_maximal_bases(graph: OrthoGraph) -> list[tuple]:
+def _orbit_masks(rows, automorphisms) -> list:
+    """The bitmask of each vertex's orbit under ``automorphisms``.
+
+    Each permutation must map the adjacency onto itself: ``A[p][:, p]``
+    equals ``A``.  A ValueError names the first that does not.
+    """
+    n = len(rows)
+    if automorphisms:
+        adjacency = unpack_rows(rows, n)
+        for k, perm in enumerate(automorphisms):
+            perm = np.asarray(perm)
+            if not (np.array_equal(np.sort(perm), np.arange(n))
+                    and np.array_equal(adjacency[np.ix_(perm, perm)],
+                                       adjacency)):
+                raise ValueError("automorphism %d does not map the graph "
+                                 "onto itself" % k)
+    labels = orbit_labels(automorphisms, n).tolist()
+    orbit = dict.fromkeys(labels, 0)
+    for v, label in enumerate(labels):
+        orbit[label] |= 1 << v
+    return [orbit[label] for label in labels]
+
+
+def _images(cliques, automorphisms, n: int) -> list[list]:
+    """Images of ``cliques`` under the group ``automorphisms`` generate
+    that are not among them, each once, as ascending position lists.
+
+    The cliques are boolean rows over the n vertices; each generator in
+    turn maps the newest rows, and a row's packed bytes tell whether it
+    has been seen.
+    """
+    if not (cliques and automorphisms):
+        return []
+    frontier = np.zeros((len(cliques), n), dtype=bool)
+    for row, clique in zip(frontier, cliques):
+        row[clique] = True
+    seen = set(_row_keys(frontier))
+    images = []
+    while len(frontier):
+        grown = []
+        for perm in automorphisms:
+            image = np.empty_like(frontier)
+            image[:, perm] = frontier
+            fresh = []
+            for i, key in enumerate(_row_keys(image)):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            grown.append(image[fresh])
+        frontier = np.concatenate(grown)
+        images += (np.flatnonzero(row).tolist() for row in frontier)
+    return images
+
+
+def _row_keys(matrix) -> list:
+    """The packed bytes of each row of a boolean matrix."""
+    packed = np.packbits(matrix, axis=1)
+    data, width = packed.tobytes(), packed.shape[1]
+    return [data[i:i + width] for i in range(0, len(data), width)]
+
+
+def enumerate_maximal_bases(graph: OrthoGraph,
+                            stats: dict | None = None) -> list[tuple]:
     """All cliques of size ``graph.dim``, as sorted id tuples in sorted order.
 
     No clique of an orthogonality graph is larger than the dimension, so
     its maximal cliques of at least ``dim`` rays are exactly the complete
-    bases.  The output order is canonical: it depends only on the
-    orthogonality relation and the ids, not on the vertex ordering used
-    during the search.
+    bases.  The search branches once per orbit of ``graph.automorphisms``
+    and closes its cliques under them.  The output order is canonical: it
+    depends only on the orthogonality relation and the ids, not on the
+    vertex ordering or the orbits used during the search.  ``stats`` is
+    passed to ``maximal_cliques``.
     """
     return sorted(tuple(sorted(graph.ids[v] for v in clique))
-                  for clique in maximal_cliques(graph.rows, graph.dim))
+                  for clique in maximal_cliques(graph.rows, graph.dim,
+                                                graph.automorphisms, stats))
 
 
 def contains_basis(bases, candidate) -> bool:

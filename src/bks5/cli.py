@@ -55,14 +55,17 @@ def _select_bases(selection: str, derived) -> list:
 
 
 class _Derived:
-    """The ray table, graph and 661 bases, each built on first use; in
-    ``verify``, one that raises fails only the checks that read it."""
+    """The ray table, graph, 661 bases and their five-basis partitions,
+    each built on first use; in ``verify``, one that raises fails only
+    the checks that read it."""
 
     table = functools.cached_property(lambda self: build_ray_table())
     graph = functools.cached_property(
         lambda self: build_ortho_graph(self.table))
     bases = functools.cached_property(
         lambda self: enumerate_maximal_bases(self.graph))
+    partitions = functools.cached_property(
+        lambda self: find_partitions(self.bases))
 
 
 def _census(graph, bases) -> tuple:
@@ -235,11 +238,13 @@ def _symmetry(d):
 
 
 def _search_regression(d):
-    found = search_small_proof(d.graph, d.bases, seed=0)
+    found = search_small_proof(d.graph, d.bases, seed=0,
+                               partitions=d.partitions)
     golden = catalog.SEARCH_GOLDEN
-    return ((found.status, found.restart, found.size,
+    return ((len(d.partitions), found.status, found.restart, found.size,
              list(found.basis_indices)),
-            ("found", golden["restart"], golden["size"], golden["bases"]))
+            (catalog.PARTITION_COUNT, "found", golden["restart"],
+             golden["size"], golden["bases"]))
 
 
 CHECKS = (

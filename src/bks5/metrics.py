@@ -20,7 +20,8 @@ from math import lcm
 
 import numpy as np
 
-from .rays import RayTable, pauli_ray_permutations, row_permutation
+from .rays import (RayTable, orbit_labels, pauli_ray_permutations,
+                   row_permutation)
 
 
 def hs_distance_squared(table: RayTable, basis_a, basis_b) -> Fraction:
@@ -178,26 +179,19 @@ def _orbit_labels(entries, gram, cells) -> np.ndarray:
     checking stops at the first generator that does not, and then, as
     for a list with a repeated basis, each basis is labelled by itself.
     """
-    labels = np.arange(len(cells))
     member = np.zeros((len(cells), len(entries)), dtype=bool)
     np.put_along_axis(member, cells, True, axis=1)
     moves = []
     for perm in pauli_ray_permutations(entries, gram):
         if perm is None:
-            return labels
+            return np.arange(len(cells))
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(len(perm))
         move = row_permutation(member, member[:, inverse])
         if move is None:
-            return labels
+            return np.arange(len(cells))
         moves.append(move)
-    while True:
-        merged = labels
-        for move in moves:
-            merged = np.minimum(merged, merged[move])
-        if np.array_equal(merged, labels):
-            return labels
-        labels = merged
+    return orbit_labels(moves, len(cells))
 
 
 def format_distance(value: Fraction) -> str:

@@ -231,11 +231,29 @@ def row_permutation(rows: np.ndarray, images: np.ndarray):
     return perm
 
 
+def orbit_labels(perms, n: int) -> np.ndarray:
+    """Each of the points 0..n-1 labelled by the least point of its orbit
+    under the group that the permutations ``perms`` generate."""
+    labels = np.arange(n)
+    while True:
+        merged = labels
+        for perm in perms:
+            merged = np.minimum(merged, merged[perm])
+        if np.array_equal(merged, labels):
+            return labels
+        labels = merged
+
+
 def _byte_order(rows: np.ndarray) -> np.ndarray:
     """An order that sorts the rows of a 2-d array by their raw bytes."""
     rows = np.ascontiguousarray(rows)
     key = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
     return np.argsort(rows.view(key).ravel())
+
+
+# Rows per block of the squared-Gram check in ``pauli_ray_permutations``:
+# its temporaries are blocks of the matrix, not whole copies.
+_GRAM_BLOCK = 32
 
 
 def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray):
@@ -253,13 +271,13 @@ def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray):
 
     A signed permutation is orthogonal, so it fixes every squared inner
     product; each ``perm`` is checked to map the squared Gram matrix onto
-    itself, and an AssertionError names a generator that does not.
+    itself, one block of ``_GRAM_BLOCK`` rows at a time, and an
+    AssertionError names a generator that does not.
     """
     dim = entries.shape[1]
     n = dim.bit_length() - 1
     if dim != 1 << n:
         return
-    squares = gram ** 2
     for q in range(n - 1, -1, -1):
         for op in (PauliOp(n, 1 << q, 0), PauliOp(n, 0, 1 << q)):
             perm = row_permutation(
@@ -267,7 +285,10 @@ def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray):
             if perm is None:
                 yield None
                 return
-            if not np.array_equal(squares[np.ix_(perm, perm)], squares):
+            if not all(np.array_equal(
+                    gram[np.ix_(perm[lo:lo + _GRAM_BLOCK], perm)] ** 2,
+                    gram[lo:lo + _GRAM_BLOCK] ** 2)
+                    for lo in range(0, len(perm), _GRAM_BLOCK)):
                 raise AssertionError("%s does not preserve the squared "
                                      "Gram matrix" % op)
             yield perm

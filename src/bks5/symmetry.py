@@ -245,10 +245,11 @@ def automorphism_group(g: OverlapGraph) -> AutGroupReport:
 
     # conj[h, a] = h a h^-1; a class is labelled by its smallest element,
     # so labels in increasing order list the classes in the order a scan
-    # over the elements first meets them.
+    # over the elements first meets them, and the labels are the elements
+    # that label themselves.
     conj = mult[mult, inv[:, None]]
     class_of = conj.min(axis=0)
-    reps = np.unique(class_of)
+    reps = np.flatnonzero(class_of == np.arange(size))
 
     def closure(seed: np.ndarray) -> np.ndarray:
         members = seed.copy()

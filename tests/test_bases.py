@@ -11,6 +11,8 @@ from bks5.bases import (OrthoGraph, bases_sha256, build_ortho_graph,
                         contains_basis, enumerate_maximal_bases,
                         maximal_cliques, pack_rows, unpack_rows,
                         write_bases_text)
+from bks5.coloring import KSInstance
+from bks5.rays import Ray, RayTable, orbit_labels
 
 
 class TestOrthoGraph:
@@ -50,7 +52,36 @@ class TestOrthoGraph:
                    for rid, i in ortho_graph.position.items())
         assert len(ortho_graph.position) == ortho_graph.n
         assert fresh == ortho_graph and hash(fresh) == hash(ortho_graph)
-        assert [f.name for f in fields(OrthoGraph)] == ["ids", "rows", "dim"]
+        assert [f.name for f in fields(OrthoGraph) if f.compare] == \
+            ["ids", "rows", "dim"]
+
+    def test_source_rays_take_no_part_in_equality(self, ortho_graph,
+                                                  proof_bases):
+        """A graph given by its rows equals the one built from the table,
+        for graphs and for instances over them, but has no automorphisms."""
+        hand = OrthoGraph(ortho_graph.ids, ortho_graph.rows, ortho_graph.dim)
+        assert hand == ortho_graph and hash(hand) == hash(ortho_graph)
+        assert hand.automorphisms == ()
+        assert len(ortho_graph.automorphisms) == 10
+        instances = [KSInstance.build(g, proof_bases)
+                     for g in (hand, ortho_graph)]
+        assert instances[0] == instances[1]
+        assert hash(instances[0]) == hash(instances[1])
+
+    def test_automorphism_orbits_are_the_blocks(self, ray_table, ortho_graph):
+        labels = orbit_labels(ortho_graph.automorphisms, ortho_graph.n)
+        assert sorted(set(labels.tolist())) == sorted(
+            lo - 1 for lo, _ in ray_table.block_map.values())
+        for lo, hi in ray_table.block_map.values():
+            assert (labels[lo - 1:hi] == lo - 1).all()
+
+    def test_generators_stop_at_the_first_off_the_table(self):
+        """X_2 moves (1, 0, 0, 0) off this table; X_1 and Z_1 come first."""
+        table = RayTable(rays=(Ray((1, 0, 0, 0), 1), Ray((0, 0, 1, 0), 2)),
+                         block_map={})
+        graph = build_ortho_graph(table)
+        assert [p.tolist() for p in graph.automorphisms] == [[1, 0], [0, 1]]
+        assert enumerate_maximal_bases(graph) == []
 
 
 class TestEnumeration:
@@ -85,6 +116,45 @@ class TestEnumeration:
 
     def test_rerun_is_identical(self, ortho_graph, all_bases):
         assert enumerate_maximal_bases(ortho_graph) == all_bases
+
+    def test_orbit_search_matches_whole_graph_search(self, ortho_graph,
+                                                     all_bases):
+        """Bron-Kerbosch over the whole graph, without automorphisms, is
+        the oracle; the orbit search does under a third of its nodes."""
+        plain, orbits, hand = {}, {}, {}
+        oracle = sorted(tuple(sorted(ortho_graph.ids[v] for v in clique))
+                        for clique in maximal_cliques(ortho_graph.rows, 32,
+                                                      stats=plain))
+        assert enumerate_maximal_bases(ortho_graph, orbits) == oracle
+        assert oracle == all_bases
+        assert plain == {"nodes": 18208, "orbits": 37}
+        assert orbits == {"nodes": 5339, "orbits": 5}
+        # A graph given by its rows runs the whole-graph search.
+        graph = OrthoGraph(ortho_graph.ids, ortho_graph.rows, ortho_graph.dim)
+        assert enumerate_maximal_bases(graph, hand) == oracle
+        assert hand == plain
+
+    def test_a_permutation_that_is_not_an_automorphism_raises(
+            self, ray_table, ortho_graph):
+        """Rays 1 and 33 have different supports, so swapping them is no
+        automorphism; neither is a map that is not a permutation."""
+        swap = np.arange(ortho_graph.n)
+        swap[[0, 32]] = [32, 0]
+        repeat = np.arange(ortho_graph.n)
+        repeat[0] = 1
+        for bad in (swap, repeat, np.arange(ortho_graph.n - 1)):
+            with pytest.raises(ValueError, match="^automorphism 1 does not "
+                                                 "map the graph onto itself"):
+                maximal_cliques(ortho_graph.rows, 32,
+                                (ortho_graph.automorphisms[0], bad))
+        # Rows that the table's generators do not fix fail by name as well.
+        rows = list(ortho_graph.rows)
+        rows[0] ^= 1 << 159
+        rows[159] ^= 1
+        tampered = OrthoGraph(ortho_graph.ids, tuple(rows), 32,
+                              rays=ray_table.rays)
+        with pytest.raises(ValueError, match="^automorphism 0 "):
+            enumerate_maximal_bases(tampered)
 
     def test_bases_cover_every_orthogonal_pair(self, ortho_graph, all_bases):
         ids, rows = ortho_graph.ids, ortho_graph.rows
@@ -180,6 +250,83 @@ class TestMaximalCliques:
             smaller += len(expected) < len(_brute_force_maximal(rows))
         assert larger >= 30
         assert min_size < 2 or smaller >= 10
+
+
+def _circulant(n, offsets) -> list:
+    """Vertex v is adjacent to v +/- each offset, mod n."""
+    rows = [0] * n
+    for v in range(n):
+        for k in offsets:
+            for w in ((v + k) % n, (v - k) % n):
+                if w != v:
+                    rows[v] |= 1 << w
+    return rows
+
+
+def _involution_symmetric(rng, n, density):
+    """A random graph made symmetric under a random involution, which is
+    returned with it."""
+    points = list(range(n))
+    rng.shuffle(points)
+    perm = list(range(n))
+    for a, b in zip(points[0:n - 1:2], points[1:n:2]):
+        if rng.random() < 0.8:
+            perm[a], perm[b] = b, a
+    rows = _random_rows(rng, n, density)
+    for a, b in combinations(range(n), 2):
+        if (rows[a] >> b) & 1:
+            u, w = perm[a], perm[b]
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
+    return rows, perm
+
+
+class TestSymmetryReducedSearch:
+    """``maximal_cliques`` with planted automorphisms against brute force."""
+
+    @staticmethod
+    def search(rows, min_size, automorphisms, stats=None) -> list:
+        found = maximal_cliques(rows, min_size, automorphisms, stats)
+        return sorted(tuple(sorted(c)) for c in found)
+
+    @pytest.mark.parametrize("min_size", range(5))
+    def test_circulant_graphs_under_rotation_and_reflection(self, min_size):
+        rng = random.Random(100 + min_size)
+        larger = fewer_nodes = 0
+        for _ in range(40):
+            n = rng.randint(max(min_size, 1), 12)
+            density = rng.uniform(0.3, 0.9)
+            offsets = [k for k in range(1, n // 2 + 1)
+                       if rng.random() < density]
+            rows = _circulant(n, offsets)
+            rotate = [(v + 1) % n for v in range(n)]
+            reflect = [(-v) % n for v in range(n)]
+            expected = _brute_force_maximal(rows, min_size)
+            plain, reduced = {}, {}
+            assert self.search(rows, min_size, (), plain) == expected
+            for gens in ([rotate], [reflect]):
+                assert self.search(rows, min_size, gens) == expected
+            assert self.search(rows, min_size, [rotate, reflect],
+                               reduced) == expected
+            larger += any(len(c) > min_size for c in expected)
+            fewer_nodes += reduced["nodes"] < plain["nodes"]
+        assert larger >= 10 and fewer_nodes >= 10
+
+    @pytest.mark.parametrize("min_size", range(5))
+    def test_graphs_symmetric_under_an_involution(self, min_size):
+        rng = random.Random(200 + min_size)
+        larger = fewer_nodes = 0
+        for _ in range(60):
+            n = rng.randint(max(min_size, 1), 11)
+            rows, perm = _involution_symmetric(rng, n,
+                                               rng.uniform(0.3, 0.8))
+            expected = _brute_force_maximal(rows, min_size)
+            plain, reduced = {}, {}
+            assert self.search(rows, min_size, (), plain) == expected
+            assert self.search(rows, min_size, [perm], reduced) == expected
+            larger += any(len(c) > min_size for c in expected)
+            fewer_nodes += reduced["nodes"] < plain["nodes"]
+        assert larger >= 20 and fewer_nodes >= 5
 
 
 class TestPackRows:

@@ -1,7 +1,11 @@
 """End-to-end checks of the command-line interface."""
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +317,37 @@ class TestVerifyCommand:
         assert [line for line in lines[:-1] if line.endswith("PASS")] == \
             ["%-22s PASS" % name for name in VERIFY_CHECKS
              if name != "maximal_bases"]
+
+    def test_wrong_partition_count_fails_search_regression(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(catalog, "PARTITION_COUNT",
+                            catalog.PARTITION_COUNT + 1)
+        code, _ = run(tmp_path, "verify")
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("verify: 9/10 checks passed")
+        at = lines.index("%-22s FAIL" % "search_regression")
+        assert re.fullmatch(r"    reason: got \(10328, 'found', .*\), "
+                            r"expected \(10329, 'found', .*\)", lines[at + 1])
+        assert [line for line in lines[:-1] if line.endswith("PASS")] == \
+            ["%-22s PASS" % name for name in VERIFY_CHECKS
+             if name != "search_regression"]
+
+    def test_verify_process_does_not_import_numpy_ma(self, tmp_path):
+        """On numpy 2.x a plain ``np.unique`` imports ``numpy.ma``, a few
+        ms of every fresh ``verify`` process that no check needs."""
+        script = ("import sys\n"
+                  "from bks5.cli import main\n"
+                  "code = main(['--out', sys.argv[1], 'verify'])\n"
+                  "sys.exit(code or ('numpy.ma' in sys.modules\n"
+                  "                  and 'verify imported numpy.ma'))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                                env=env, capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr
 
     def test_failing_checks_say_why(self, tmp_path, monkeypatch, capsys):
         def no_bases(graph):
