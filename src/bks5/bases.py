@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import takewhile
 
 import numpy as np
 
@@ -71,9 +70,7 @@ class OrthoGraph:
         if not self.rays:
             return ()
         entries = np.array([r.entries for r in self.rays], dtype=np.int64)
-        return tuple(takewhile(
-            lambda perm: perm is not None,
-            pauli_ray_permutations(entries, entries @ entries.T)))
+        return tuple(pauli_ray_permutations(entries, entries @ entries.T))
 
 
 def build_ortho_graph(table: RayTable) -> OrthoGraph:

@@ -174,17 +174,17 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
 def _orbit_labels(entries, gram, cells) -> np.ndarray:
     """Each basis's orbit label under X_q and Z_q: its orbit's first index.
 
-    ``cells`` holds each basis's row indices.  The orbits are used only
-    when every generator maps the bases onto themselves one to one;
-    checking stops at the first generator that does not, and then, as
-    for a list with a repeated basis, each basis is labelled by itself.
+    ``cells`` holds each basis's row indices.  The generators are those
+    ``pauli_ray_permutations`` yields, which map the table onto itself.
+    The orbits are used only when every generator maps the bases onto
+    themselves one to one; checking stops at the first generator that
+    does not, and then, as for a list with a repeated basis, each basis
+    is labelled by itself.
     """
     member = np.zeros((len(cells), len(entries)), dtype=bool)
     np.put_along_axis(member, cells, True, axis=1)
     moves = []
     for perm in pauli_ray_permutations(entries, gram):
-        if perm is None:
-            return np.arange(len(cells))
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(len(perm))
         move = row_permutation(member, member[:, inverse])

@@ -251,11 +251,6 @@ def _byte_order(rows: np.ndarray) -> np.ndarray:
     return np.argsort(rows.view(key).ravel())
 
 
-# Rows per block of the squared-Gram check in ``pauli_ray_permutations``:
-# its temporaries are blocks of the matrix, not whole copies.
-_GRAM_BLOCK = 32
-
-
 def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray):
     """The ray permutations that X_q and Z_q induce, one generator at a time.
 
@@ -265,30 +260,26 @@ def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray):
     sends every row to +/- another integer vector, which sign
     canonicalisation makes comparable with the rows.  Yields ``perm``
     with ``perm[i]`` the row index of the image of row i, in the order
-    X_1, Z_1, ..., X_n, Z_n.  A generator that moves some row off the
-    table yields None, and nothing follows it; a row length that is not a
-    power of two yields nothing.
+    X_1, Z_1, ..., X_n, Z_n, up to the first generator that moves some
+    row off the table: neither it nor any later one is yielded.  A row
+    length that is not a power of two yields nothing.
 
     A signed permutation is orthogonal, so it fixes every squared inner
     product; each ``perm`` is checked to map the squared Gram matrix onto
-    itself, one block of ``_GRAM_BLOCK`` rows at a time, and an
-    AssertionError names a generator that does not.
+    itself, and an AssertionError names a generator that does not.
     """
     dim = entries.shape[1]
     n = dim.bit_length() - 1
     if dim != 1 << n:
         return
+    squares = gram ** 2
     for q in range(n - 1, -1, -1):
         for op in (PauliOp(n, 1 << q, 0), PauliOp(n, 0, 1 << q)):
             perm = row_permutation(
                 entries, _signed_rows(apply_pauli(op, entries.T).T))
             if perm is None:
-                yield None
                 return
-            if not all(np.array_equal(
-                    gram[np.ix_(perm[lo:lo + _GRAM_BLOCK], perm)] ** 2,
-                    gram[lo:lo + _GRAM_BLOCK] ** 2)
-                    for lo in range(0, len(perm), _GRAM_BLOCK)):
+            if not np.array_equal(squares[np.ix_(perm, perm)], squares):
                 raise AssertionError("%s does not preserve the squared "
                                      "Gram matrix" % op)
             yield perm

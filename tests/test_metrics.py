@@ -12,6 +12,7 @@ from bks5 import catalog, metrics
 from bks5.metrics import (DistanceSpectrum, _check_basis, _orbit_labels,
                           distance_spectrum, emit_histogram, format_distance,
                           hs_distance_squared)
+from bks5.rays import Ray, RayTable
 
 
 def full_pair_spectrum(table, bases) -> DistanceSpectrum:
@@ -249,6 +250,24 @@ class TestOrbitSpectrum:
         monkeypatch.setattr(metrics, "pauli_ray_permutations", counted)
         distance_spectrum(ray_table, proof_bases)
         assert len(pulled) == 1 and pulled[0] is not None
+
+    def test_generators_before_one_off_the_table_give_orbits(self):
+        """X_1 and Z_1 map this table onto itself; X_2 moves e1 off it.
+
+        Z_1 swaps the two bases, so they form one orbit.
+        """
+        entries = [(1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -1, 0),
+                   (0, 1, 0, -1), (1, 1, -1, -1), (1, -1, -1, 1),
+                   (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0)]
+        table = RayTable(rays=tuple(Ray(e, i + 1)
+                                    for i, e in enumerate(entries)),
+                         block_map={})
+        assert len(list(metrics.pauli_ray_permutations(
+            table.entries_matrix(), table.gram))) == 2
+        bases = [(1, 2, 3, 4), (5, 6, 7, 8)]
+        assert orbit_count(table, bases) == 1
+        assert distance_spectrum(table, bases) == \
+            full_pair_spectrum(table, bases)
 
     def test_stub_below_the_bound_matches_full_product(self):
         table = _StubTable(215)

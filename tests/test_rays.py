@@ -221,10 +221,12 @@ class TestPauliRayPermutations:
             list(pauli_ray_permutations(ray_table.entries_matrix(), gram))
 
     def test_a_row_moved_off_the_table_stops_the_generators(self):
-        """X maps (2, 1) to (1, 2), which is not a row."""
-        entries = np.array([[2, 1], [1, -2]], dtype=np.int64)
-        assert list(pauli_ray_permutations(entries, entries @ entries.T)) \
-            == [None]
+        """X maps (2, 1) to (1, 2), which is not a row; X fixes (1, 1),
+        and Z maps it to (1, -1), which is not a row."""
+        for rows, kept in [([[2, 1], [1, -2]], []), ([[1, 1]], [[0]])]:
+            entries = np.array(rows, dtype=np.int64)
+            assert [p.tolist() for p in pauli_ray_permutations(
+                entries, entries @ entries.T)] == kept
 
     def test_length_not_a_power_of_two_yields_nothing(self):
         entries = np.eye(3, dtype=np.int64)
