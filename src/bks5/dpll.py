@@ -4,11 +4,20 @@ This is an independent cross-check for the structured coloring search: it
 knows nothing about rays or bases, only clauses.  Every per-literal table
 is a plain list of 2n + 1 slots indexed by the literal itself, a negative
 literal counting from the end: the value of each literal, the implication
-list of each literal (binary clauses) and the long clauses each literal
-occurs in.  Longer clauses keep satisfied/non-falsified counters that are
-updated whenever a literal is assigned, so they always agree with the
-current assignment.  The propagation loop hands each implication list
-to one ``assign`` call, which sets its literals in place.  The search is
+list of each literal (binary clauses) and, as one int bitmask, the long
+clauses each literal occurs in.
+
+Long clauses are counted in bulk.  One int has a bit set for each
+satisfied clause, and each clause's count of non-false literals, less
+two, is bit-sliced over a few ints ("planes") in two's complement.
+Assigning a literal ORs its mask into the satisfied bits and takes one
+off the count of every clause holding its negation with a single borrow
+chain across the planes; the top plane is the sign, so one AND finds the
+unsatisfied clauses left with one non-false literal (a unit) or none (a
+conflict).  A branch node saves the satisfied bits and the planes and
+restores them after each branch, so undoing a branch only clears values
+along the trail.  The propagation loop hands each implication list to
+one ``assign`` call, which sets its literals in place.  The search is
 plain DPLL with a static branching order; any claimed model is verified
 against the original clause list before being returned.
 """
@@ -39,11 +48,13 @@ def parse_dimacs(text: str):
     and a literal outside 1..nvars.
 
     Lines up to the problem line are read one by one.  The clause body is
-    converted in bulk: comment lines are blanked, blocks of lines are split
-    and converted with ``map(int)``, and the literals are range-checked
-    with one ``min`` and ``max`` and cut into clauses at the zeros.  Only
-    when that finds a second problem line or a bad token is the body read
-    line by line again, to name the first error.
+    converted in bulk: comment lines are blanked and blocks of lines are
+    split.  Each distinct token of a block is converted once with ``int``
+    into a table, which is range-checked with one ``min`` and ``max``, and
+    the block's tokens are mapped through it.  The literals are then cut
+    into clauses at the zeros.  Only when that finds a second problem
+    line, a bad token or a literal out of range is the body read line by
+    line again, to name the first error.
     """
     lines = text.splitlines()
     for number, raw in enumerate(lines, 1):
@@ -65,7 +76,7 @@ def parse_dimacs(text: str):
 
     rows = lines[number:]
     body = "\n".join(rows)
-    flawed = False  # a second problem line or a bad token is somewhere
+    flawed = False  # some line or token is wrong; find which below
     row = at = 0
     # Without a "c" or a "p" anywhere the body has no such line to find.
     for match in (_SKIP_OR_PROBLEM.finditer(body)
@@ -77,10 +88,13 @@ def parse_dimacs(text: str):
     lits = []
     try:
         for lo in range(0, len(rows), _LINES_PER_SPLIT):
-            lits += map(int, " ".join(rows[lo:lo + _LINES_PER_SPLIT]).split())
+            if not _extend_literals(lits, rows[lo:lo + _LINES_PER_SPLIT],
+                                    nvars):
+                flawed = True
+                break
     except ValueError:
         flawed = True
-    if flawed or (lits and not -nvars <= min(lits) <= max(lits) <= nvars):
+    if flawed:
         _raise_first_error(lines, number, nvars)
 
     if lits and lits[-1]:
@@ -92,6 +106,24 @@ def parse_dimacs(text: str):
         raise ValueError("problem line promises %d clauses, found %d"
                          % (nclauses, len(clauses)))
     return nvars, clauses
+
+
+def _extend_literals(lits: list, rows, nvars: int) -> bool:
+    """Append the literals of clause lines ``rows`` to ``lits``.
+
+    Each distinct token is converted once; ``int`` raises ValueError on a
+    token that is not an integer.  Returns False, appending nothing, when
+    a literal lies outside ±nvars.  The token strings die with the call,
+    before the caller builds the clauses.
+    """
+    tokens = " ".join(rows).split()
+    distinct = set(tokens)
+    ints = dict(zip(distinct, map(int, distinct)))
+    if ints and not (-nvars <= min(ints.values())
+                     and max(ints.values()) <= nvars):
+        return False
+    lits += map(ints.__getitem__, tokens)
+    return True
 
 
 def _raise_first_error(lines, header: int, nvars: int):
@@ -159,7 +191,8 @@ def solve(nvars: int, clauses) -> DpllResult:
                 imp[-b].append(a)
             continue
         lits = tuple(dict.fromkeys(cl))
-        if any(-lit in lits for lit in lits):
+        # Distinct literals that share a variable are complementary.
+        if len(set(map(abs, lits))) < len(lits):
             continue
         if len(lits) == 0:
             return DpllResult(False, None, 0, 0)
@@ -172,12 +205,19 @@ def solve(nvars: int, clauses) -> DpllResult:
         else:
             long_clauses.append(lits)
 
-    occ = [[] for _ in range(size)]
+    occ = [0] * size  # bit ci of occ[lit] is set when long clause ci has lit
     for ci, lits in enumerate(long_clauses):
         for lit in lits:
-            occ[lit].append(ci)
-    nf = [len(lits) for lits in long_clauses]
-    satc = [0] * len(long_clauses)
+            occ[lit] |= 1 << ci
+    # Each long clause's count of non-false literals, less two, in two's
+    # complement and bit-sliced: bit ci of planes[i] is bit i of clause
+    # ci's.  The top plane is the sign, so it marks the counts below two.
+    width = max(map(len, long_clauses), default=2)
+    planes = [sum(1 << ci for ci, lits in enumerate(long_clauses)
+                  if (len(lits) - 2) >> i & 1)
+              for i in range((width - 2).bit_length() + 1)]
+    levels = range(len(planes))
+    sat = 0  # bit ci is set while clause ci has a true literal
     value = [0] * size  # +1 true, -1 false, 0 unassigned
     trail = []
     pending = []
@@ -189,10 +229,11 @@ def solve(nvars: int, clauses) -> DpllResult:
         Returns the position of the first literal that is false or that
         falsifies a clause, or -1.  Values only go from unassigned to set
         during a call, so an earlier copy of that literal would have ended
-        the call or made it true: its first occurrence is its position.  A
-        literal that falsifies a clause is still fully assigned, so that
-        ``undo`` restores its counters.
+        the call or made it true: its first occurrence is its position.
+        The clauses that a literal leaves with one non-false literal and
+        none true are pushed on ``pending`` in index order.
         """
+        nonlocal sat
         for lit in lits:
             v = value[lit]
             if v > 0:
@@ -202,19 +243,28 @@ def solve(nvars: int, clauses) -> DpllResult:
             value[lit] = 1
             value[-lit] = -1
             trail.append(lit)
-            for ci in occ[lit]:
-                satc[ci] += 1
-            ok = True
-            for ci in occ[-lit]:
-                left = nf[ci] - 1
-                nf[ci] = left
-                if left < 2 and not satc[ci]:
-                    if left:
-                        pending.append(ci)
-                    else:
-                        ok = False
-            if not ok:
-                return lits.index(lit)
+            sat |= occ[lit]
+            hit = borrow = occ[-lit]
+            if not hit:
+                continue
+            # One borrow chain takes one off every hit clause's count; a
+            # borrow out of the top plane is the step from 0 to -1.
+            for i in levels:
+                plane = planes[i] ^ borrow
+                planes[i] = plane
+                borrow &= plane
+                if not borrow:
+                    break
+            # The sign marks the unsatisfied hit clauses left with one
+            # non-false literal (-1, plane 0 set) or none (-2, a conflict).
+            low = hit & planes[-1] & ~sat
+            if low:
+                if low & ~planes[0]:
+                    return lits.index(lit)
+                while low:
+                    bit = low & -low
+                    pending.append(bit.bit_length() - 1)
+                    low ^= bit
         return -1
 
     def drain(head: int) -> int:
@@ -239,7 +289,10 @@ def solve(nvars: int, clauses) -> DpllResult:
                     propagations += len(forced)
             elif pending:
                 ci = pending.pop()
-                if not satc[ci] and nf[ci] == 1:
+                # Counts only fall between two restores, and a count of 0
+                # with no true literal ended the drain: a clause still
+                # unsatisfied when popped has exactly one non-false literal.
+                if not sat >> ci & 1:
                     unit = next(lit for lit in long_clauses[ci]
                                 if not value[lit])
                     propagations += 1
@@ -249,12 +302,9 @@ def solve(nvars: int, clauses) -> DpllResult:
                 return head
 
     def undo(mark: int) -> None:
+        """Unassign the trail from ``mark`` on; the caller restores counts."""
         for lit in trail[mark:]:
             value[lit] = value[-lit] = 0
-            for ci in occ[lit]:
-                satc[ci] -= 1
-            for ci in occ[-lit]:
-                nf[ci] += 1
         del trail[mark:]
         pending.clear()
 
@@ -270,7 +320,7 @@ def solve(nvars: int, clauses) -> DpllResult:
         Every variable before position ``start`` of ``order`` is assigned:
         the parent branched on the first one that was not.
         """
-        nonlocal nodes
+        nonlocal nodes, sat
         nodes += 1
         head = drain(head)
         if head < 0:
@@ -281,10 +331,13 @@ def solve(nvars: int, clauses) -> DpllResult:
             return True
         var = order[pos]
         mark = len(trail)
+        saved_sat, saved_planes = sat, planes[:]
         for lit in (var, -var):
             if assign((lit,)) < 0 and search(mark, pos):
                 return True
             undo(mark)
+            sat = saved_sat
+            planes[:] = saved_planes
         return False
 
     satisfiable = search(0, 0)

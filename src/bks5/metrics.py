@@ -28,8 +28,7 @@ def hs_distance_squared(table: RayTable, basis_a, basis_b) -> Fraction:
     """Definitional per-pair computation, exact in Fraction arithmetic."""
     gram = table.gram
     d = table.entries_matrix().shape[1]
-    rows_a = _check_basis(gram, basis_a, d)
-    rows_b = _check_basis(gram, basis_b, d)
+    rows_a, rows_b = _check_bases(gram, (basis_a, basis_b), d).tolist()
     total = Fraction(0)
     for a in rows_a:
         for b in rows_b:
@@ -39,19 +38,36 @@ def hs_distance_squared(table: RayTable, basis_a, basis_b) -> Fraction:
     return 1 - Fraction(1, d - 1) * total
 
 
-def _check_basis(gram, basis, d) -> list:
-    """The Gram rows of ``basis``, whose ids must name d orthogonal rays."""
-    rows = [rid - 1 for rid in basis]
-    if len(rows) != d:
-        raise ValueError("a complete basis needs %d rays, got %d"
-                         % (d, len(rows)))
-    if rows and not (0 <= min(rows) and max(rows) < len(gram)):
-        rid = next(r for r in rows if not 0 <= r < len(gram)) + 1
-        raise ValueError("ray id %d is outside 1..%d" % (rid, len(gram)))
-    sub = gram.take(rows, axis=0).take(rows, axis=1)
-    if np.count_nonzero(sub) > np.count_nonzero(np.diagonal(sub)):
+def _check_bases(gram, bases, d) -> np.ndarray:
+    """The Gram rows of each basis as an (n, d) array.
+
+    Every basis must name d orthogonal rays by id.  Lengths and ids are
+    checked basis by basis up to the first that fails; orthogonality is
+    checked at once for the bases before it, so the first error in list
+    order is raised.
+    """
+    cells = []
+    error = None
+    for basis in bases:
+        rows = [rid - 1 for rid in basis]
+        if len(rows) != d:
+            error = ValueError("a complete basis needs %d rays, got %d"
+                               % (d, len(rows)))
+            break
+        if rows and not (0 <= min(rows) and max(rows) < len(gram)):
+            rid = next(r for r in rows if not 0 <= r < len(gram)) + 1
+            error = ValueError("ray id %d is outside 1..%d"
+                               % (rid, len(gram)))
+            break
+        cells.append(rows)
+    cells = np.array(cells, dtype=np.intp).reshape(-1, d)
+    blocks = (gram != 0)[cells[:, :, None], cells[:, None, :]]
+    if np.count_nonzero(blocks) > np.count_nonzero(
+            np.diagonal(blocks, axis1=1, axis2=2)):
         raise ValueError("basis rays are not pairwise orthogonal")
-    return rows
+    if error is not None:
+        raise error
+    return cells
 
 
 @dataclass(frozen=True)
@@ -127,8 +143,7 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     gram = table.gram
     entries = table.entries_matrix()
     d = entries.shape[1]
-    cells = np.array([_check_basis(gram, b, d) for b in bases],
-                     dtype=np.intp).reshape(-1, d)
+    cells = _check_bases(gram, bases, d)
     n = len(cells)
     orbit = _orbit_labels(entries, gram, cells)
     reps = np.flatnonzero(orbit == np.arange(n))

@@ -318,9 +318,8 @@ def build_ray_table() -> RayTable:
     sets = five_sets()
     reference = [Ray.from_string(s, i + 1) for i, s in enumerate(catalog.RAYS)]
     table = {}
-    for label in catalog.BLOCK_ORDER:
+    for label, (lo, hi) in catalog.BLOCK_RANGES.items():
         computed = {r.entries for r in joint_eigenrays(sets[label])}
-        lo, hi = catalog.BLOCK_RANGES[label]
         for ray_id in range(lo, hi + 1):
             ref = reference[ray_id - 1]
             if ref.entries not in computed:

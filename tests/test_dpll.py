@@ -309,7 +309,58 @@ def _random_cnf(rng):
     return nvars, clauses
 
 
+def _wide_cnf(rng):
+    """A seeded CNF of many wide clauses under a dense at-most-one graph.
+
+    75-120 or 230-260 wide clauses over 20-80 variables, each with 5 to
+    70 distinct variables, so the clause masks span several machine words
+    and the counts cross several plane boundaries as they fall.  The
+    literals are mostly positive; one clause in five repeats a literal,
+    and one in ten also holds a complementary pair.  Negative binary
+    clauses over a random graph of density 0.3-0.8 force the wide clauses
+    down to units and conflicts, so both verdicts come with real search.
+    """
+    nvars = rng.randint(20, 80)
+    clauses = []
+    for _ in range(rng.choice((rng.randint(75, 120), rng.randint(230, 260)))):
+        cl = [rng.choice((1,) * 7 + (-1,)) * var for var in
+              rng.sample(range(1, nvars + 1), rng.randint(5, min(70, nvars)))]
+        if rng.random() < 0.2:
+            cl.insert(rng.randint(0, len(cl)), rng.choice(cl))
+        if rng.random() < 0.1:
+            cl.insert(rng.randint(0, len(cl)), -rng.choice(cl))
+        clauses.append(tuple(cl))
+    density = rng.uniform(0.3, 0.8)
+    clauses += [(-a, -b) for a, b in
+                itertools.combinations(range(1, nvars + 1), 2)
+                if rng.random() < density]
+    rng.shuffle(clauses)
+    return nvars, clauses
+
+
 class TestAgainstReference:
+    def test_wide_clause_cnfs_match_reference_exactly(self):
+        """Clauses up to 70 wide, and masks over 64 and over 200 clauses."""
+        rng = random.Random(20261101)
+        verdicts = set()
+        long_counts = []
+        widths = set()
+        for _ in range(20):
+            nvars, clauses = _wide_cnf(rng)
+            result = dpll.solve(nvars, clauses)
+            assert result == _reference_solve(nvars, clauses), (nvars,
+                                                                clauses)
+            verdicts.add(result.satisfiable)
+            # The clauses that stay long: those without a complementary
+            # pair, as wide as their distinct literals.
+            kept = [len(set(cl)) for cl in clauses if len(cl) > 2
+                    and len(set(map(abs, cl))) == len(set(cl))]
+            long_counts.append(len(kept))
+            widths.update(kept)
+        assert verdicts == {False, True}
+        assert min(long_counts) > 64 and max(long_counts) > 200
+        assert min(widths) == 5 and max(widths) == 70
+
     def test_random_cnfs_match_reference_exactly(self):
         rng = random.Random(20260601)
         shapes = set()
@@ -551,7 +602,35 @@ class TestParseAgainstReference:
         "p cnf 2 2\n1 0 0\n", "p cnf 2 1\n0\n1",
         "p cnf 2 1\n1 2 0\ncnf\n", "c\np cnf 2 1\n1 2 0\npx\n",
         "p cnf 99999999999999999999 1\n99999999999999999999 0\n",
+        # Over several 512-line blocks: one literal spelled three ways,
+        # each spelling in its own blocks or all three in every block.
+        pytest.param("p cnf 9 1800\n" + "\n".join(
+            "%s -3 0" % ("7", "+7", "07")[row // 600] for row in range(1800)),
+            id="spellings-by-block"),
+        pytest.param("p cnf 9 1800\n" + "\n".join(
+            "%s -3 0" % ("7", "+7", "07")[row % 3] for row in range(1800)),
+            id="spellings-mixed"),
+        # The first error after more than one block of good lines; of two
+        # errors in two blocks, the one in the earlier line.
+        pytest.param("p cnf 9 700\n" + "1 -2 0\n" * 600 + "1 x 0\n"
+                     + "1 0\n" * 99, id="token-after-block"),
+        pytest.param("p cnf 9 700\n" + "1 -2 0\n" * 600 + "1 10 0\n"
+                     + "1 0\n" * 99, id="range-after-block"),
+        pytest.param("p cnf 9 700\n" + "1 -2 0\n" * 600 + "p cnf 9 1\n"
+                     + "1 0\n" * 99, id="problem-after-block"),
+        pytest.param("p cnf 9 700\n" + "1 -10 0\n" + "1 0\n" * 600
+                     + "x 0\n" * 99, id="range-then-token"),
+        pytest.param("p cnf 9 700\n" + "y 0\n" + "1 0\n" * 600
+                     + "-10 0\n" * 99, id="token-then-range"),
     ])
     def test_edge_texts_match_reference(self, text):
         assert _parse_outcome(dpll.parse_dimacs, text) == \
             _parse_outcome(_reference_parse_dimacs, text)
+
+    @pytest.mark.parametrize("fixture", ["proof_bases", "block_bases",
+                                         "all_bases"])
+    def test_exported_families_match_reference(self, request, ortho_graph,
+                                               fixture):
+        text = export_cnf(KSInstance.build(ortho_graph,
+                                           request.getfixturevalue(fixture)))
+        assert dpll.parse_dimacs(text) == _reference_parse_dimacs(text)

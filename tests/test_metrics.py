@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bks5 import catalog, metrics
-from bks5.metrics import (DistanceSpectrum, _check_basis, _orbit_labels,
+from bks5.metrics import (DistanceSpectrum, _check_bases, _orbit_labels,
                           distance_spectrum, emit_histogram, format_distance,
                           hs_distance_squared)
 from bks5.rays import Ray, RayTable
@@ -24,8 +24,7 @@ def full_pair_spectrum(table, bases) -> DistanceSpectrum:
     gram = table.gram
     d = table.entries_matrix().shape[1]
     selector = np.zeros((len(bases), len(table)), dtype=np.int64)
-    for bi, b in enumerate(bases):
-        selector[bi, _check_basis(gram, b, d)] = 1
+    np.put_along_axis(selector, _check_bases(gram, bases, d), 1, axis=1)
     norms = np.diag(gram).astype(np.int64)
     scale = lcm(*(int(x) for x in norms)) ** 4
     if d * scale > np.iinfo(np.int64).max:
@@ -110,6 +109,23 @@ class TestDistanceSpectrum:
         with pytest.raises(ValueError,
                            match=r"^ray id %d is outside 1\.\.160$" % bad):
             distance_spectrum(ray_table, [tampered] + list(proof_bases[1:]))
+
+    def test_first_invalid_basis_in_list_order_is_named(self, ray_table,
+                                                        proof_bases):
+        """Orthogonality is checked in bulk, yet the earliest error wins."""
+        clash = list(proof_bases[3])
+        clash[0] = [rid for rid in range(1, 161) if rid not in clash][0]
+        short = proof_bases[0][:31]
+        outside = [0 if rid == 160 else rid for rid in proof_bases[0]]
+        good = list(proof_bases[1:4])
+        for bases, message in [
+                (good + [clash, short], "not pairwise orthogonal"),
+                (good + [short, clash], "needs 32 rays, got 31"),
+                (good + [clash, outside], "not pairwise orthogonal"),
+                (good + [outside, clash, short], "ray id 0 is outside"),
+                ([clash] + good + [short, outside], "not pairwise orthogonal")]:
+            with pytest.raises(ValueError, match=message):
+                distance_spectrum(ray_table, bases)
 
     def test_pair_multiplicities_sum_to_choose_2(self, spectrum21,
                                                  spectrum661):
