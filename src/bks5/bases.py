@@ -20,7 +20,6 @@ graph without them is the same code with every orbit a single vertex.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -289,8 +288,13 @@ def bases_sha256(bases) -> str:
     """Digest of the canonical rendering: newline-joined space-separated ids.
 
     The digest covers the canonical content (no trailing newline), so it is
-    stable across writers that terminate the file differently.
+    stable across writers that terminate the file differently.  hashlib is
+    imported here, not at module level, because it maps OpenSSL's libcrypto
+    (about 3.6 MB resident) into every process that imports the package,
+    and only the ``bases`` and ``verify`` commands take the digest.
     """
+    import hashlib
+
     text = "\n".join(" ".join(str(i) for i in b) for b in bases)
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, pairwise
-from operator import not_
+from itertools import chain
 
 
 # A comment or problem line after the problem line, in a body whose lines
@@ -52,9 +51,10 @@ def parse_dimacs(text: str):
     split.  Each distinct token of a block is converted once with ``int``
     into a table, which is range-checked with one ``min`` and ``max``, and
     the block's tokens are mapped through it.  The literals are then cut
-    into clauses at the zeros.  Only when that finds a second problem
-    line, a bad token or a literal out of range is the body read line by
-    line again, to name the first error.
+    into clauses at the zeros, each clause read from one shared iterator
+    up to its zero.  Only when that finds a second problem line, a bad
+    token or a literal out of range is the body read line by line again,
+    to name the first error.
     """
     lines = text.splitlines()
     for number, raw in enumerate(lines, 1):
@@ -99,9 +99,8 @@ def parse_dimacs(text: str):
 
     if lits and lits[-1]:
         raise ValueError("unterminated final clause")
-    ends = compress(range(1, len(lits) + 1), map(not_, lits))
-    clauses = [tuple(lits[lo:hi - 1])
-               for lo, hi in pairwise(chain((0,), ends))]
+    nxt = iter(lits).__next__
+    clauses = [tuple(iter(nxt, 0)) for _ in range(lits.count(0))]
     if len(clauses) != nclauses:
         raise ValueError("problem line promises %d clauses, found %d"
                          % (nclauses, len(clauses)))

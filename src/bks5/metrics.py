@@ -165,6 +165,8 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     ray_totals = np.zeros((len(gram), len(reps)), dtype=np.int64)
     for column in cells[reps].T:
         ray_totals += scaled[:, column]
+    # Freed before the gather below, which sets the call's memory peak.
+    del denom, scaled
     totals = np.zeros((n, len(reps)), dtype=np.int64)
     for column in cells.T:
         totals += ray_totals[column]

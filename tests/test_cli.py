@@ -24,6 +24,31 @@ def run(tmp_path, *argv):
     return code, out
 
 
+def assert_no_added_import(module, tmp_path, *argv):
+    """Run ``main(['--out', tmp_path, *argv])`` in a fresh process that has
+    already imported numpy, and fail if the command fails or if it imports
+    ``module``.
+
+    Only an import that the package or the command adds counts, so the
+    check does not depend on what numpy itself imports.
+    """
+    script = ("import sys\n"
+              "import numpy\n"
+              "module = sys.argv[1]\n"
+              "before = module in sys.modules\n"
+              "from bks5.cli import main\n"
+              "code = main(['--out'] + sys.argv[2:])\n"
+              "sys.exit(code or (module in sys.modules and not before\n"
+              "                  and 'the command imported ' + module))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script, module, str(tmp_path), *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 def sha256s(out, names):
     """The SHA-256 of each named file in ``out``, keyed by name."""
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -131,6 +156,13 @@ class TestColorCommand:
         cert = json.loads((out / "certificate-blocks.json").read_text())
         assert cert["status"] == "non_colorable"
         assert cert["solvers_agree"] is True
+
+    def test_process_does_not_load_openssl(self, tmp_path):
+        """``hashlib`` maps OpenSSL's libcrypto through ``_hashlib``, about
+        3.6 MB resident; only the commands that digest the 661 bases
+        (``bases`` and ``verify``) may load it."""
+        assert_no_added_import("_hashlib", tmp_path,
+                               "color", "--bases", "proof")
 
     def test_unknown_selection_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -338,21 +370,7 @@ class TestVerifyCommand:
         ms of every fresh ``verify`` process that no check needs.  Older
         numpy imports ``numpy.ma`` with ``numpy`` itself, so only an
         import that ``verify`` adds counts."""
-        script = ("import sys\n"
-                  "import numpy\n"
-                  "before = 'numpy.ma' in sys.modules\n"
-                  "from bks5.cli import main\n"
-                  "code = main(['--out', sys.argv[1], 'verify'])\n"
-                  "sys.exit(code or ('numpy.ma' in sys.modules\n"
-                  "                  and not before\n"
-                  "                  and 'verify imported numpy.ma'))\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                                env=env, capture_output=True, text=True,
-                                timeout=300)
-        assert result.returncode == 0, result.stderr
+        assert_no_added_import("numpy.ma", tmp_path, "verify")
 
     def test_failing_checks_say_why(self, tmp_path, monkeypatch, capsys):
         def no_bases(graph):

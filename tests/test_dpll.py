@@ -599,7 +599,8 @@ class TestParseAgainstReference:
         "p cnf 2 1\n1 2\x1f0\n", "p cnf 2 1\r\n1 2 0\u2028c x\r\n",
         "p cnf 2 1\n\xa01 2 0\xa0\n", "p cnf 2 1\n\xa0c 1\n1 2 0\n",
         "p cnf 2 1\n1_0 0\n", "p cnf 12 1\n1_0 0\n", "p cnf 2 1\n-0\n",
-        "p cnf 2 2\n1 0 0\n", "p cnf 2 1\n0\n1",
+        "p cnf 2 2\n1 0 0\n", "p cnf 2 1\n0\n1", "p cnf 2 1\n0\n",
+        "p cnf 3 4\n1 -2 0 0 2 3 0 -1 0\n",
         "p cnf 2 1\n1 2 0\ncnf\n", "c\np cnf 2 1\n1 2 0\npx\n",
         "p cnf 99999999999999999999 1\n99999999999999999999 0\n",
         # Over several 512-line blocks: one literal spelled three ways,
