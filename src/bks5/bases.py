@@ -14,9 +14,10 @@ bit-row packer serve every bitmask relation in the package.
 Given vertex permutations that map the graph onto itself, the search
 runs once per orbit instead of once per vertex at the root, and closes
 what it finds under the permutations.  A graph built from a ray table
-carries the permutations of the single-qubit Paulis X_q and Z_q, whose
-orbits on the 160 rays are the five blocks; the search over the whole
-graph without them is the same code with every orbit a single vertex.
+carries the table's ``pauli_permutations``, those of the single-qubit
+Paulis X_q and Z_q, built once per table; their orbits on the 160 rays
+are the five blocks.  The search over the whole graph without them is
+the same code with every orbit a single vertex.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rays import RayTable, orbit_labels, pauli_ray_permutations
+from .rays import RayTable, orbit_labels
 
 
 @dataclass(frozen=True)
@@ -34,16 +35,16 @@ class OrthoGraph:
 
     Vertices are 0-based positions; ``ids`` maps positions back to the
     caller's ray ids.  ``dim`` is the ambient vector-space dimension and
-    therefore the exact size of every complete basis.  ``rays``, when
-    the graph was built from a ray table, are the table's rays, where its
-    ``automorphisms`` come from; they take no part in equality or
-    hashing.
+    therefore the exact size of every complete basis.  ``automorphisms``
+    are vertex permutations for ``maximal_cliques``, which checks each
+    against the rows: a table's ``pauli_permutations`` when the graph
+    was built from one; they take no part in equality or hashing.
     """
 
     ids: tuple
     rows: tuple
     dim: int
-    rays: tuple = field(default=(), compare=False, repr=False)
+    automorphisms: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -57,32 +58,20 @@ class OrthoGraph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    @cached_property
-    def automorphisms(self) -> tuple:
-        """Vertex permutations for ``maximal_cliques`` to close cliques under.
-
-        For a graph built from a table, the ray permutations of X_q and
-        Z_q up to the first that moves a ray off the table; none for a
-        graph given by its rows alone.  ``maximal_cliques`` checks each
-        against the rows before it uses any.
-        """
-        if not self.rays:
-            return ()
-        entries = np.array([r.entries for r in self.rays], dtype=np.int64)
-        return tuple(pauli_ray_permutations(entries, entries @ entries.T))
-
 
 def build_ortho_graph(table: RayTable) -> OrthoGraph:
     """Exact integer inner products decide every edge.
 
     Bit j of row i is set when Gram entry (i, j) is zero; every ray has a
-    positive norm, so none is its own neighbour.  The graph keeps the
-    table's rays, from which its automorphisms are built on first use,
-    but not the table and its Gram matrix.
+    positive norm, so none is its own neighbour.  The automorphisms are
+    the table's ``pauli_permutations``, built once per table and read by
+    the distance spectrum too; the graph keeps neither the table nor its
+    Gram matrix.
     """
     return OrthoGraph(ids=tuple(r.id for r in table.rays),
                       rows=pack_rows(table.gram == 0),
-                      dim=len(table.rays[0].entries), rays=table.rays)
+                      dim=len(table.rays[0].entries),
+                      automorphisms=table.pauli_permutations)
 
 
 def pack_rows(matrix) -> tuple:

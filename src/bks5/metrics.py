@@ -20,8 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .rays import (RayTable, orbit_labels, pauli_ray_permutations,
-                   row_permutation)
+from .rays import RayTable, orbit_labels, row_permutation
 
 
 def hs_distance_squared(table: RayTable, basis_a, basis_b) -> Fraction:
@@ -119,13 +118,13 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     The orbits are those of the single-qubit Paulis X_q and Z_q.  Each
     permutes the coordinates with signs, and a signed permutation is
     orthogonal, so it fixes every squared overlap p_ab and hence every
-    D^2; ``pauli_ray_permutations`` checks at run time that each maps
-    the table onto itself and fixes the squared Gram matrix.  The orbit
-    path applies only when every generator also maps ``bases`` onto
-    itself one to one.  Then the bases of an orbit meet the same
-    multiset of D^2 values in the list, so one representative's row,
-    its counts weighted by the orbit size, stands for all of them.  A
-    repeated basis or a single image outside the list (as for the
+    D^2; ``RayTable.pauli_permutations``, built once per table, checks
+    that each maps the table onto itself and fixes the squared Gram
+    matrix.  The orbit path applies only when every generator also maps
+    ``bases`` onto itself one to one.  Then the bases of an orbit meet
+    the same multiset of D^2 values in the list, so one representative's
+    row, its counts weighted by the orbit size, stands for all of them.
+    A repeated basis or a single image outside the list (as for the
     21-basis proof) makes every basis its own representative, which is
     the full pair product.  Either way each unordered pair is counted
     once from each end, so every weighted count is even and is halved.
@@ -141,11 +140,10 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     OverflowError instead of wrapping.
     """
     gram = table.gram
-    entries = table.entries_matrix()
-    d = entries.shape[1]
+    d = table.entries_matrix().shape[1]
     cells = _check_bases(gram, bases, d)
     n = len(cells)
-    orbit = _orbit_labels(entries, gram, cells)
+    orbit = _orbit_labels(table.pauli_permutations, cells, len(gram))
     reps = np.flatnonzero(orbit == np.arange(n))
     sizes = np.bincount(orbit)[reps]
     norms = np.diag(gram).astype(np.int64)
@@ -188,20 +186,20 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     return DistanceSpectrum(basis_count=n, pairs=pairs)
 
 
-def _orbit_labels(entries, gram, cells) -> np.ndarray:
-    """Each basis's orbit label under X_q and Z_q: its orbit's first index.
+def _orbit_labels(perms, cells, n_rays: int) -> np.ndarray:
+    """Each basis's orbit label under ``perms``: its orbit's first index.
 
-    ``cells`` holds each basis's row indices.  The generators are those
-    ``pauli_ray_permutations`` yields, which map the table onto itself.
-    The orbits are used only when every generator maps the bases onto
-    themselves one to one; checking stops at the first generator that
-    does not, and then, as for a list with a repeated basis, each basis
-    is labelled by itself.
+    ``cells`` holds each basis's row indices among the ``n_rays`` rays,
+    and ``perms`` are ray permutations that map the table onto itself.
+    The orbits are used only when every one maps the bases onto
+    themselves one to one; checking stops at the first that does not,
+    and then, as for a list with a repeated basis, each basis is
+    labelled by itself.
     """
-    member = np.zeros((len(cells), len(entries)), dtype=bool)
+    member = np.zeros((len(cells), n_rays), dtype=bool)
     np.put_along_axis(member, cells, True, axis=1)
     moves = []
-    for perm in pauli_ray_permutations(entries, gram):
+    for perm in perms:
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(len(perm))
         move = row_permutation(member, member[:, inverse])

@@ -183,6 +183,12 @@ class RayTable:
         gram.flags.writeable = False
         return gram
 
+    @cached_property
+    def pauli_permutations(self) -> tuple:
+        """``pauli_ray_permutations`` of the rays, checked on ``gram``;
+        the orthogonality graph and the distance spectrum read them."""
+        return pauli_ray_permutations(self.entries_matrix(), self.gram)
+
     def partner_id(self, ray_id: int) -> int:
         return self._partner_ids[self._checked(ray_id)]
 
@@ -251,18 +257,18 @@ def _byte_order(rows: np.ndarray) -> np.ndarray:
     return np.argsort(rows.view(key).ravel())
 
 
-def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray):
-    """The ray permutations that X_q and Z_q induce, one generator at a time.
+def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray) -> tuple:
+    """The ray permutations that X_q and Z_q induce, as read-only arrays.
 
     ``entries`` holds one ray per row and ``gram`` their inner products;
     the row length 2^n gives the qubit count n.  Each single-qubit X_q
     and Z_q is a signed coordinate permutation (``apply_pauli``), so it
     sends every row to +/- another integer vector, which sign
-    canonicalisation makes comparable with the rows.  Yields ``perm``
+    canonicalisation makes comparable with the rows.  Returns ``perm``
     with ``perm[i]`` the row index of the image of row i, in the order
     X_1, Z_1, ..., X_n, Z_n, up to the first generator that moves some
-    row off the table: neither it nor any later one is yielded.  A row
-    length that is not a power of two yields nothing.
+    row off the table: neither it nor any later one is returned.  A row
+    length that is not a power of two returns none.
 
     A signed permutation is orthogonal, so it fixes every squared inner
     product; each ``perm`` is checked to map the squared Gram matrix onto
@@ -271,18 +277,21 @@ def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray):
     dim = entries.shape[1]
     n = dim.bit_length() - 1
     if dim != 1 << n:
-        return
+        return ()
     squares = gram ** 2
+    perms = []
     for q in range(n - 1, -1, -1):
         for op in (PauliOp(n, 1 << q, 0), PauliOp(n, 0, 1 << q)):
             perm = row_permutation(
                 entries, _signed_rows(apply_pauli(op, entries.T).T))
             if perm is None:
-                return
+                return tuple(perms)
             if not np.array_equal(squares[np.ix_(perm, perm)], squares):
                 raise AssertionError("%s does not preserve the squared "
                                      "Gram matrix" % op)
-            yield perm
+            perm.flags.writeable = False
+            perms.append(perm)
+    return tuple(perms)
 
 
 def five_sets() -> dict:

@@ -55,8 +55,8 @@ class TestOrthoGraph:
         assert [f.name for f in fields(OrthoGraph) if f.compare] == \
             ["ids", "rows", "dim"]
 
-    def test_source_rays_take_no_part_in_equality(self, ortho_graph,
-                                                  proof_bases):
+    def test_automorphisms_take_no_part_in_equality(self, ortho_graph,
+                                                    proof_bases):
         """A graph given by its rows equals the one built from the table,
         for graphs and for instances over them, but has no automorphisms."""
         hand = OrthoGraph(ortho_graph.ids, ortho_graph.rows, ortho_graph.dim)
@@ -152,7 +152,7 @@ class TestEnumeration:
         rows[0] ^= 1 << 159
         rows[159] ^= 1
         tampered = OrthoGraph(ortho_graph.ids, tuple(rows), 32,
-                              rays=ray_table.rays)
+                              automorphisms=ray_table.pauli_permutations)
         with pytest.raises(ValueError, match="^automorphism 0 "):
             enumerate_maximal_bases(tampered)
 

@@ -8,7 +8,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from bks5 import catalog, metrics
+from bks5 import catalog
 from bks5.metrics import (DistanceSpectrum, _check_bases, _orbit_labels,
                           distance_spectrum, emit_histogram, format_distance,
                           hs_distance_squared)
@@ -191,7 +191,8 @@ class TestDistanceSpectrum:
 def orbits(ray_table, all_bases):
     """The 661 bases' indices, grouped by X_q and Z_q orbit."""
     cells = np.array(all_bases) - 1
-    labels = _orbit_labels(ray_table.entries_matrix(), ray_table.gram, cells)
+    labels = _orbit_labels(ray_table.pauli_permutations, cells,
+                           len(ray_table))
     groups = {}
     for i, label in enumerate(labels.tolist()):
         groups.setdefault(label, []).append(i)
@@ -200,8 +201,8 @@ def orbits(ray_table, all_bases):
 
 def orbit_count(table, bases) -> int:
     cells = np.array(bases) - 1
-    return len(set(_orbit_labels(table.entries_matrix(), table.gram,
-                                 cells).tolist()))
+    return len(set(_orbit_labels(table.pauli_permutations, cells,
+                                 len(table)).tolist()))
 
 
 class TestOrbitSpectrum:
@@ -220,6 +221,10 @@ class TestOrbitSpectrum:
     def test_catalog_families_match_full_product(self, ray_table, name,
                                                  request):
         bases = request.getfixturevalue(name)
+        # The proof takes the full product; every generator fixes each
+        # block basis.
+        assert orbit_count(ray_table, bases) == \
+            {"proof_bases": 21, "block_bases": 5}[name]
         assert distance_spectrum(ray_table, bases) == \
             full_pair_spectrum(ray_table, bases)
 
@@ -253,20 +258,6 @@ class TestOrbitSpectrum:
         assert spectrum == full_pair_spectrum(ray_table, bases)
         assert spectrum.pairs[Fraction(0)] == 1
 
-    def test_proof_stops_at_the_first_generator(self, ray_table,
-                                                proof_bases, monkeypatch):
-        pulled = []
-        generators = metrics.pauli_ray_permutations
-
-        def counted(entries, gram):
-            for perm in generators(entries, gram):
-                pulled.append(perm)
-                yield perm
-
-        monkeypatch.setattr(metrics, "pauli_ray_permutations", counted)
-        distance_spectrum(ray_table, proof_bases)
-        assert len(pulled) == 1 and pulled[0] is not None
-
     def test_generators_before_one_off_the_table_give_orbits(self):
         """X_1 and Z_1 map this table onto itself; X_2 moves e1 off it.
 
@@ -278,8 +269,7 @@ class TestOrbitSpectrum:
         table = RayTable(rays=tuple(Ray(e, i + 1)
                                     for i, e in enumerate(entries)),
                          block_map={})
-        assert len(list(metrics.pauli_ray_permutations(
-            table.entries_matrix(), table.gram))) == 2
+        assert len(table.pauli_permutations) == 2
         bases = [(1, 2, 3, 4), (5, 6, 7, 8)]
         assert orbit_count(table, bases) == 1
         assert distance_spectrum(table, bases) == \
@@ -299,6 +289,8 @@ class TestOrbitSpectrum:
 
 class _StubTable:
     """Two 2-dimensional bases: {(k, 1), (-1, k)} and the standard one."""
+
+    pauli_permutations = ()
 
     def __init__(self, k):
         self._entries = np.array([[k, 1], [-1, k], [1, 0], [0, 1]],

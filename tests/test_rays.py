@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from bks5 import catalog
+from bks5 import bases, catalog, metrics, rays
 from bks5.geometry import GF2Subspace
 from bks5.pauli import (CommutingSet, PauliOp, apply_pauli, commutes,
                         is_symmetric, make_pauli, pauli_to_matrix)
@@ -196,6 +196,7 @@ class TestPauliRayPermutations:
         assert len(perms) == 10
         for perm in perms:
             assert sorted(perm.tolist()) == list(range(160))
+            assert not perm.flags.writeable
 
     def test_images_match_the_kronecker_matrices(self, ray_table, perms):
         """X_1, Z_1, ..., X_5, Z_5 send each ray to +/- its listed image."""
@@ -231,6 +232,31 @@ class TestPauliRayPermutations:
     def test_length_not_a_power_of_two_yields_nothing(self):
         entries = np.eye(3, dtype=np.int64)
         assert list(pauli_ray_permutations(entries, entries)) == []
+
+    def test_one_build_serves_the_graph_and_every_spectrum(
+            self, proof_bases, monkeypatch):
+        """A fresh table builds its generators once: the orbit enumeration,
+        the all-661 spectrum and the proof spectrum all read that tuple."""
+        calls = []
+        build = rays.pauli_ray_permutations
+
+        def counted(entries, gram):
+            calls.append(len(entries))
+            return build(entries, gram)
+
+        monkeypatch.setattr(rays, "pauli_ray_permutations", counted)
+        table = build_ray_table()
+        graph = bases.build_ortho_graph(table)
+        found = bases.enumerate_maximal_bases(graph)
+        assert len(found) == catalog.BASIS_COUNT
+        for chosen in (found, proof_bases):
+            metrics.distance_spectrum(table, chosen)
+        assert calls == [160]
+        assert graph.automorphisms is table.pauli_permutations
+        assert table.pauli_permutations is table.pauli_permutations
+        # A reader that imported the builder would bypass the table.
+        for module in (bases, metrics):
+            assert not hasattr(module, "pauli_ray_permutations")
 
 
 class TestRowPermutation:
