@@ -118,12 +118,14 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     The orbits are those of the single-qubit Paulis X_q and Z_q.  Each
     permutes the coordinates with signs, and a signed permutation is
     orthogonal, so it fixes every squared overlap p_ab and hence every
-    D^2; ``RayTable.pauli_permutations``, built once per table, checks
-    that each maps the table onto itself and fixes the squared Gram
-    matrix.  The orbit path applies only when every generator also maps
-    ``bases`` onto itself one to one.  Then the bases of an orbit meet
-    the same multiset of D^2 values in the list, so one representative's
-    row, its counts weighted by the orbit size, stands for all of them.
+    D^2.  ``RayTable.pauli_permutations``, built once per table, maps the
+    table onto itself.  The orbit path applies only when every generator
+    also maps ``bases`` onto itself one to one.  Then the bases of an
+    orbit meet the same multiset of D^2 values in the list, so one
+    representative's row, its counts weighted by the orbit size, stands
+    for all of them.  Whenever some orbit holds more than one basis, each
+    generator is first checked to fix the scaled p_ab^2 * K that the
+    totals sum, and an AssertionError names the first that does not.
     A repeated basis or a single image outside the list (as for the
     21-basis proof) makes every basis its own representative, which is
     the full pair product.  Either way each unordered pair is counted
@@ -157,6 +159,11 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     if np.any(scale % denom):
         raise AssertionError("norm scaling is not integral")
     scaled = (gram.astype(np.int64) ** 4) * (scale // denom)
+    if len(reps) < n:
+        for k, perm in enumerate(table.pauli_permutations):
+            if not np.array_equal(scaled[np.ix_(perm, perm)], scaled):
+                raise AssertionError("generator %d does not fix the squared "
+                                     "overlaps" % k)
     # A basis picks d rays, so each product with the 0/1 basis incidence
     # is a sum of d gathered rows: every ray against each representative,
     # then every basis against each representative.

@@ -185,9 +185,9 @@ class RayTable:
 
     @cached_property
     def pauli_permutations(self) -> tuple:
-        """``pauli_ray_permutations`` of the rays, checked on ``gram``;
-        the orthogonality graph and the distance spectrum read them."""
-        return pauli_ray_permutations(self.entries_matrix(), self.gram)
+        """``pauli_ray_permutations`` of the rays, built once per table;
+        each reader checks the invariant it relies on."""
+        return pauli_ray_permutations(self.entries_matrix())
 
     def partner_id(self, ray_id: int) -> int:
         return self._partner_ids[self._checked(ray_id)]
@@ -257,28 +257,22 @@ def _byte_order(rows: np.ndarray) -> np.ndarray:
     return np.argsort(rows.view(key).ravel())
 
 
-def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray) -> tuple:
+def pauli_ray_permutations(entries: np.ndarray) -> tuple:
     """The ray permutations that X_q and Z_q induce, as read-only arrays.
 
-    ``entries`` holds one ray per row and ``gram`` their inner products;
-    the row length 2^n gives the qubit count n.  Each single-qubit X_q
-    and Z_q is a signed coordinate permutation (``apply_pauli``), so it
-    sends every row to +/- another integer vector, which sign
-    canonicalisation makes comparable with the rows.  Returns ``perm``
-    with ``perm[i]`` the row index of the image of row i, in the order
-    X_1, Z_1, ..., X_n, Z_n, up to the first generator that moves some
-    row off the table: neither it nor any later one is returned.  A row
-    length that is not a power of two returns none.
-
-    A signed permutation is orthogonal, so it fixes every squared inner
-    product; each ``perm`` is checked to map the squared Gram matrix onto
-    itself, and an AssertionError names a generator that does not.
+    ``entries`` holds one ray per row; the row length 2^n gives the qubit
+    count n.  Each single-qubit X_q and Z_q is a signed coordinate
+    permutation (``apply_pauli``), so it sends every row to +/- another
+    integer vector, which sign canonicalisation makes comparable with the
+    rows.  Returns ``perm`` with ``perm[i]`` the row index of the image of
+    row i, in the order X_1, Z_1, ..., X_n, Z_n, up to the first generator
+    that moves some row off the table: neither it nor any later one is
+    returned.  A row length that is not a power of two returns none.
     """
     dim = entries.shape[1]
     n = dim.bit_length() - 1
     if dim != 1 << n:
         return ()
-    squares = gram ** 2
     perms = []
     for q in range(n - 1, -1, -1):
         for op in (PauliOp(n, 1 << q, 0), PauliOp(n, 0, 1 << q)):
@@ -286,9 +280,6 @@ def pauli_ray_permutations(entries: np.ndarray, gram: np.ndarray) -> tuple:
                 entries, _signed_rows(apply_pauli(op, entries.T).T))
             if perm is None:
                 return tuple(perms)
-            if not np.array_equal(squares[np.ix_(perm, perm)], squares):
-                raise AssertionError("%s does not preserve the squared "
-                                     "Gram matrix" % op)
             perm.flags.writeable = False
             perms.append(perm)
     return tuple(perms)

@@ -19,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .bases import maximal_cliques, pack_rows, unpack_rows
+from .rays import orbit_labels
 
 
 @dataclass(frozen=True)
@@ -305,19 +306,15 @@ def automorphism_group(g: OverlapGraph) -> AutGroupReport:
     gen_mask[gens] = True
     closure_ok = bool(closure(gen_mask).all())
 
-    orbit_sets = []
-    assigned = set()
-    for v in range(n):
-        if v in assigned:
-            continue
-        orbit = {p[v] for p in elements}
-        assigned |= orbit
-        orbit_sets.append(tuple(sorted(g.labels[w] for w in orbit)))
+    labels = orbit_labels([np.array(elements[a]) for a in gens], n)
+    orbit_sets = tuple(
+        tuple(sorted(g.labels[w] for w in np.flatnonzero(labels == v)))
+        for v in np.flatnonzero(labels == np.arange(n)))
 
     return AutGroupReport(
         order=size,
         generators=tuple(elements[a] for a in gens),
-        orbits=tuple(orbit_sets),
+        orbits=orbit_sets,
         weighted_order=_weighted_order(g, elements),
         element_order_census=census,
         conjugacy_class_count=len(reps),

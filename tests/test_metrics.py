@@ -275,6 +275,38 @@ class TestOrbitSpectrum:
         assert distance_spectrum(table, bases) == \
             full_pair_spectrum(table, bases)
 
+    @pytest.mark.parametrize("perms, named", [
+        ([[0, 1, 2, 3, 6, 7, 4, 5]], 0),
+        ([[1, 0, 2, 3, 6, 7, 4, 5], [0, 1, 2, 3, 6, 7, 4, 5]], 1)])
+    def test_a_generator_that_moves_the_overlaps_is_named(self, perms,
+                                                          named):
+        """Swapping (2, 1) with (1, 2) and (1, -2) with (2, -1) swaps the
+        bases 3 and 4, but not their overlaps with e1."""
+        table = _PlaneTable(_PLANE_RAYS, *perms)
+        assert orbit_count(table, _PLANE_BASES) == 3
+        with pytest.raises(AssertionError,
+                           match="^generator %d does not fix the squared "
+                                 "overlaps$" % named):
+            distance_spectrum(table, _PLANE_BASES)
+
+    def test_the_coordinate_swap_matches_full_product(self):
+        table = _PlaneTable(_PLANE_RAYS, [1, 0, 2, 3, 6, 7, 4, 5])
+        assert orbit_count(table, _PLANE_BASES) == 3
+        assert distance_spectrum(table, _PLANE_BASES) == \
+            full_pair_spectrum(table, _PLANE_BASES)
+
+    def test_a_hadamard_fixes_the_normalised_overlaps_only(self):
+        """The Hadamard swaps e1 with (1, 1) and e2 with (1, -1): it fixes
+        every normalised overlap, but not the raw squared Gram matrix."""
+        perm = [2, 3, 0, 1]
+        table = _PlaneTable(_PLANE_RAYS[:4], perm)
+        bases = _PLANE_BASES[:2]
+        squares = table.gram ** 2
+        assert not np.array_equal(squares[np.ix_(perm, perm)], squares)
+        assert orbit_count(table, bases) == 1
+        assert distance_spectrum(table, bases) == \
+            full_pair_spectrum(table, bases)
+
     def test_stub_below_the_bound_matches_full_product(self):
         table = _StubTable(215)
         assert distance_spectrum(table, [(1, 2), (3, 4)]) == \
@@ -305,6 +337,20 @@ class _StubTable:
     @property
     def gram(self):
         return self._entries @ self._entries.T
+
+
+# Four bases of the plane: (1, 2), (3, 4), (5, 6) and (7, 8).
+_PLANE_RAYS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2), (1, 2),
+               (2, -1)]
+_PLANE_BASES = [(1, 2), (3, 4), (5, 6), (7, 8)]
+
+
+class _PlaneTable(_StubTable):
+    """Rays of the plane with the given ray permutations as generators."""
+
+    def __init__(self, rays, *perms):
+        self._entries = np.array(rays, dtype=np.int64)
+        self.pauli_permutations = tuple(np.array(p) for p in perms)
 
 
 class TestFormatDistance:

@@ -189,8 +189,7 @@ class TestPauliRayPermutations:
 
     @pytest.fixture(scope="class")
     def perms(self, ray_table):
-        return list(pauli_ray_permutations(ray_table.entries_matrix(),
-                                           ray_table.gram))
+        return list(pauli_ray_permutations(ray_table.entries_matrix()))
 
     def test_each_generator_is_a_ray_permutation(self, perms):
         assert len(perms) == 10
@@ -213,25 +212,17 @@ class TestPauliRayPermutations:
         for perm in perms:
             assert np.array_equal(squares[np.ix_(perm, perm)], squares)
 
-    def test_a_gram_matrix_it_does_not_fix_is_named(self, ray_table):
-        gram = ray_table.gram.copy()
-        gram[0, 1] = gram[1, 0] = 7
-        with pytest.raises(AssertionError,
-                           match="^XIIII does not preserve the squared "
-                                 "Gram matrix$"):
-            list(pauli_ray_permutations(ray_table.entries_matrix(), gram))
-
     def test_a_row_moved_off_the_table_stops_the_generators(self):
         """X maps (2, 1) to (1, 2), which is not a row; X fixes (1, 1),
         and Z maps it to (1, -1), which is not a row."""
         for rows, kept in [([[2, 1], [1, -2]], []), ([[1, 1]], [[0]])]:
             entries = np.array(rows, dtype=np.int64)
-            assert [p.tolist() for p in pauli_ray_permutations(
-                entries, entries @ entries.T)] == kept
+            assert [p.tolist()
+                    for p in pauli_ray_permutations(entries)] == kept
 
     def test_length_not_a_power_of_two_yields_nothing(self):
         entries = np.eye(3, dtype=np.int64)
-        assert list(pauli_ray_permutations(entries, entries)) == []
+        assert list(pauli_ray_permutations(entries)) == []
 
     def test_one_build_serves_the_graph_and_every_spectrum(
             self, proof_bases, monkeypatch):
@@ -240,9 +231,9 @@ class TestPauliRayPermutations:
         calls = []
         build = rays.pauli_ray_permutations
 
-        def counted(entries, gram):
+        def counted(entries):
             calls.append(len(entries))
-            return build(entries, gram)
+            return build(entries)
 
         monkeypatch.setattr(rays, "pauli_ray_permutations", counted)
         table = build_ray_table()
