@@ -70,7 +70,7 @@ def build_ortho_graph(table: RayTable) -> OrthoGraph:
     """
     return OrthoGraph(ids=tuple(r.id for r in table.rays),
                       rows=pack_rows(table.gram == 0),
-                      dim=len(table.rays[0].entries),
+                      dim=table.entries.shape[1],
                       automorphisms=table.pauli_permutations)
 
 

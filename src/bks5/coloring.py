@@ -16,7 +16,6 @@ reports is re-checked by the independent verifier before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, repeat
 
 import numpy as np
@@ -85,14 +84,6 @@ class KSInstance:
         involved = set(chain.from_iterable(bases))
         return KSInstance(graph=self.graph, ray_ids=tuple(sorted(involved)),
                           bases=bases, basis_masks=masks)
-
-    @cached_property
-    def ortho_pairs(self) -> tuple:
-        """Every orthogonal pair among the involved rays, in id order."""
-        first, second = _pair_indices(self)
-        ids = self.ray_ids
-        return tuple(zip(map(ids.__getitem__, first.tolist()),
-                         map(ids.__getitem__, second.tolist())))
 
 
 def _pair_indices(inst: KSInstance) -> tuple:

@@ -26,7 +26,7 @@ from .rays import RayTable, orbit_labels, row_permutation
 def hs_distance_squared(table: RayTable, basis_a, basis_b) -> Fraction:
     """Definitional per-pair computation, exact in Fraction arithmetic."""
     gram = table.gram
-    d = table.entries_matrix().shape[1]
+    d = table.entries.shape[1]
     rows_a, rows_b = _check_bases(gram, (basis_a, basis_b), d).tolist()
     total = Fraction(0)
     for a in rows_a:
@@ -142,7 +142,7 @@ def distance_spectrum(table: RayTable, bases) -> DistanceSpectrum:
     OverflowError instead of wrapping.
     """
     gram = table.gram
-    d = table.entries_matrix().shape[1]
+    d = table.entries.shape[1]
     cells = _check_bases(gram, bases, d)
     n = len(cells)
     orbit = _orbit_labels(table.pauli_permutations, cells, len(gram))

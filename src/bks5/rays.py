@@ -154,7 +154,12 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
 
 @dataclass(frozen=True)
 class RayTable:
-    """The 160 rays in id order plus the block layout."""
+    """The 160 rays in id order plus the block layout.
+
+    The entries are held once, as the read-only matrix ``entries``; the
+    Gram matrix, the Pauli ray permutations and the partner ids are
+    derived from it on first read and kept.
+    """
 
     rays: tuple
     block_map: dict
@@ -172,14 +177,17 @@ class RayTable:
     def __len__(self):
         return len(self.rays)
 
-    def entries_matrix(self) -> np.ndarray:
-        return np.array([r.entries for r in self.rays], dtype=np.int64)
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The rays' entries, one int64 row per ray in id order, read-only."""
+        entries = np.array([r.entries for r in self.rays], dtype=np.int64)
+        entries.flags.writeable = False
+        return entries
 
     @cached_property
     def gram(self) -> np.ndarray:
         """Exact integer inner products of the rays in id order, read-only."""
-        entries = self.entries_matrix()
-        gram = entries @ entries.T
+        gram = self.entries @ self.entries.T
         gram.flags.writeable = False
         return gram
 
@@ -187,7 +195,7 @@ class RayTable:
     def pauli_permutations(self) -> tuple:
         """``pauli_ray_permutations`` of the rays, built once per table;
         each reader checks the invariant it relies on."""
-        return pauli_ray_permutations(self.entries_matrix())
+        return pauli_ray_permutations(self.entries)
 
     def partner_id(self, ray_id: int) -> int:
         return self._partner_ids[self._checked(ray_id)]
@@ -199,7 +207,7 @@ class RayTable:
         Each row reversed and negated is made canonical as ``partner``
         does.  A ray whose partner is not in the table has no entry.
         """
-        flipped = _canonical_rows(-self.entries_matrix()[:, ::-1])
+        flipped = _canonical_rows(-self.entries[:, ::-1])
         index = {r.entries: r.id for r in self.rays}
         return {r.id: index[entries]
                 for r, entries in zip(self.rays, map(tuple, flipped.tolist()))

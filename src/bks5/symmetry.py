@@ -1,7 +1,8 @@
 """Overlap graph of a basis family and its automorphism group.
 
 Vertices are bases; two bases are adjacent when they share at least one
-ray, and each edge carries the number of shared rays as a weight.  The
+ray.  One read-only matrix holds the number of shared rays as the edge
+weights, and the adjacency is read as its positive entries.  The
 automorphisms are the n-cliques of the association graph over pairs of
 vertices with equal iterated-refinement colour, found by the clique
 search of ``bases``; the refinement keeps that graph small.  The group
@@ -18,50 +19,50 @@ from itertools import combinations
 
 import numpy as np
 
-from .bases import maximal_cliques, pack_rows, unpack_rows
+from .bases import maximal_cliques, pack_rows
 from .rays import orbit_labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapGraph:
-    """Basis-overlap relation: labels, adjacency bitmasks, edge weights."""
+    """Basis-overlap relation: labels and one read-only weight matrix.
+
+    Entry (i, j) of ``weights`` is the number of rays that bases i and j
+    share, so bases are adjacent where it is positive; the diagonal is 0.
+    Its type is the smallest unsigned one that holds every entry, and no
+    bases give a (0, 0) matrix.  Graphs compare by identity.
+    """
 
     labels: tuple
-    adj: tuple
-    weights: dict
+    weights: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def edge_count(self) -> int:
-        return len(self.weights)
+        return int(np.count_nonzero(self.weights)) // 2
 
 
 def build_overlap_graph(bases: dict) -> OverlapGraph:
-    """Vertices in sorted key order; edge weight = number of shared rays."""
+    """Vertices in sorted key order; weight (i, j) = rays shared by i, j."""
     labels = tuple(sorted(bases))
     sets = [frozenset(bases[k]) for k in labels]
     n = len(labels)
-    adj = [0] * n
-    weights = {}
+    weights = np.zeros((n, n), dtype=np.int64)
     for i, j in combinations(range(n), 2):
-        shared = len(sets[i] & sets[j])
-        if shared:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            weights[(i, j)] = shared
-    return OverlapGraph(labels=labels, adj=tuple(adj), weights=dict(weights))
+        weights[i, j] = weights[j, i] = len(sets[i] & sets[j])
+    weights = weights.astype(np.min_scalar_type(weights.max(initial=0)))
+    weights.flags.writeable = False
+    return OverlapGraph(labels=labels, weights=weights)
 
 
 def _refine_colors(g: OverlapGraph) -> list:
-    colors = [g.adj[i].bit_count() for i in range(g.n)]
+    neighbours = [np.flatnonzero(row).tolist() for row in g.weights]
+    colors = [len(ws) for ws in neighbours]
     while True:
-        signatures = []
-        for v in range(g.n):
-            neigh = sorted(colors[w] for w in range(g.n)
-                           if (g.adj[v] >> w) & 1)
-            signatures.append((colors[v], tuple(neigh)))
+        signatures = [(colors[v], tuple(sorted(colors[w] for w in ws)))
+                      for v, ws in enumerate(neighbours)]
         palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         new = [palette[sig] for sig in signatures]
         if new == colors:
@@ -85,7 +86,7 @@ def _search_automorphisms(g: OverlapGraph) -> list:
     n pairs are exactly the automorphisms (Barrow & Burstall).
     """
     colors = np.array(_refine_colors(g))
-    A = unpack_rows(g.adj, g.n)
+    A = g.weights > 0
     v, w = np.nonzero(colors[:, None] == colors[None, :])
     assoc = ((v[:, None] != v[None, :]) & (w[:, None] != w[None, :])
              & (A[np.ix_(v, v)] == A[np.ix_(w, w)]))
@@ -115,7 +116,7 @@ def _check_automorphism(g: OverlapGraph, perms: list):
     each permutation names the first bad permutation and its first bad
     edge in ``combinations`` order.
     """
-    A = unpack_rows(g.adj, g.n)
+    A = g.weights > 0
     bad = np.triu(_seen_through(A, perms) != A, 1)
     if bad.any():
         i, j = np.argwhere(bad[bad.any(axis=(1, 2)).argmax()])[0]
@@ -126,14 +127,11 @@ def _check_automorphism(g: OverlapGraph, perms: list):
 def _weighted_order(g: OverlapGraph, perms: list) -> int:
     """How many of ``perms`` also preserve every edge weight.
 
-    The weight matrix is seen through all permutations at once, as
-    ``_check_automorphism`` sees the adjacency.  Weights are held in the
-    smallest unsigned type that fits them.
+    The graph's weight matrix, in its smallest unsigned type, is seen
+    through all permutations at once, as ``_check_automorphism`` sees the
+    adjacency.
     """
-    W = np.zeros((g.n, g.n),
-                 dtype=np.min_scalar_type(max(g.weights.values(), default=0)))
-    i, j = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2).T
-    W[i, j] = W[j, i] = list(g.weights.values())
+    W = g.weights
     return int((_seen_through(W, perms) == W).all(axis=(1, 2)).sum())
 
 

@@ -175,7 +175,7 @@ class TestAcceptance:
             graph24 = build_ortho_graph(table24)
             assert check_colorable(
                 KSInstance.build(graph24, contexts)).status == "non_colorable"
-            gram = table24.entries_matrix() @ table24.entries_matrix().T
+            gram = table24.entries @ table24.entries.T
             admissible = sum(
                 1 for choice in product(*contexts)
                 if all(a == b or gram[a - 1, b - 1] != 0

@@ -30,7 +30,7 @@ class TestOrthoGraph:
         for table, graph in ((ray_table, ortho_graph),
                              (mermin_table[0],
                               build_ortho_graph(mermin_table[0]))):
-            entries = table.entries_matrix()
+            entries = table.entries
             gram = entries @ entries.T
             n = len(table)
             assert graph.ids == tuple(range(1, n + 1))
@@ -107,7 +107,7 @@ class TestEnumeration:
 
     def test_every_basis_is_complete_and_orthogonal(self, ray_table,
                                                     all_bases):
-        entries = ray_table.entries_matrix()
+        entries = ray_table.entries
         for b in all_bases[::37]:
             block = entries[[rid - 1 for rid in b]]
             gram = block @ block.T
@@ -365,7 +365,7 @@ class TestMerminFamily:
 
     def test_context_bases_are_orthogonal(self, mermin_table):
         table, contexts = mermin_table
-        entries = table.entries_matrix()
+        entries = table.entries
         assert len(contexts) == 6
         for ids in contexts:
             block = entries[[rid - 1 for rid in ids]]

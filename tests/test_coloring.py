@@ -29,12 +29,17 @@ class TestInstanceConstruction:
     def test_proof_instance_shape(self, proof_instance):
         assert len(proof_instance.ray_ids) == 160
         assert len(proof_instance.bases) == 21
-        assert len(proof_instance.ortho_pairs) == catalog.ORTHO_PAIR_COUNT
+        assert len(_ortho_pairs(proof_instance)) == catalog.ORTHO_PAIR_COUNT
 
     def test_single_basis_instance(self, ortho_graph, proof_bases):
         inst = KSInstance.build(ortho_graph, [proof_bases[0]])
         assert len(inst.ray_ids) == 32
-        assert len(inst.ortho_pairs) == 32 * 31 // 2
+        assert len(_ortho_pairs(inst)) == 32 * 31 // 2
+
+    def test_no_pair_cache(self, proof_instance):
+        """``export_cnf`` scans the pairs it writes; nothing caches them."""
+        assert not hasattr(proof_instance, "ortho_pairs")
+        assert not hasattr(KSInstance, "ortho_pairs")
 
     def test_unknown_ray_rejected(self, ortho_graph):
         with pytest.raises(InstanceError):
@@ -137,7 +142,7 @@ class TestVerifyColoring:
     def test_rejects_orthogonal_ones(self, ortho_graph, proof_bases):
         inst = KSInstance.build(ortho_graph, [proof_bases[0]])
         assignment = {rid: 0 for rid in inst.ray_ids}
-        a, b = inst.ortho_pairs[0]
+        a, b = _ortho_pairs(inst)[0]
         assignment[a] = assignment[b] = 1
         assert verify_coloring(inst, assignment) is False
 
@@ -187,7 +192,7 @@ class TestMerminOracle:
         result = check_colorable(inst)
         assert result.status == "non_colorable"
 
-        entries = table.entries_matrix()
+        entries = table.entries
         gram = entries @ entries.T
 
         def admissible(choice):
@@ -306,11 +311,19 @@ def _reference_check_colorable(inst: KSInstance) -> ColoringResult:
                           stats["propagations"])
 
 
+def _ortho_pairs(inst: KSInstance) -> list:
+    """Every orthogonal pair of involved rays, probed pair by pair in the
+    adjacency bitmasks in ``combinations(ray_ids, 2)`` order."""
+    pos, rows = inst.graph.position, inst.graph.rows
+    return [(a, b) for a, b in combinations(inst.ray_ids, 2)
+            if (rows[pos[a]] >> pos[b]) & 1]
+
+
 def _pairwise_verify(inst: KSInstance, assignment: dict) -> bool:
     """Conditions (i) and (ii), the latter over every orthogonal pair."""
     return (all(any(assignment[rid] for rid in ids) for ids in inst.bases)
             and not any(assignment[a] and assignment[b]
-                        for a, b in inst.ortho_pairs))
+                        for a, b in _ortho_pairs(inst)))
 
 
 def _random_subfamily(rng, all_bases, all_partitions):
@@ -457,9 +470,7 @@ class TestAgainstReference:
 
 def _reference_export_cnf(inst: KSInstance) -> str:
     """The pair-probing export, kept as an oracle for ``export_cnf``."""
-    pos, rows = inst.graph.position, inst.graph.rows
-    pairs = [(a, b) for a, b in combinations(inst.ray_ids, 2)
-             if (rows[pos[a]] >> pos[b]) & 1]
+    pairs = _ortho_pairs(inst)
     var = {rid: i + 1 for i, rid in enumerate(inst.ray_ids)}
     lines = ["c var %d = ray %d" % (var[rid], rid) for rid in inst.ray_ids]
     lines.append("p cnf %d %d" % (len(inst.ray_ids),
@@ -508,8 +519,8 @@ class TestExportAgainstReference:
         """Variables follow sorted ray ids, not graph positions; ray 4 is
         in no basis, so its bits in the rows must not produce a clause."""
         inst = _unsorted_instance()
-        assert inst.ortho_pairs == ((2, 3), (2, 5), (2, 7), (3, 7), (3, 11),
-                                    (5, 11))
+        assert _ortho_pairs(inst) == [(2, 3), (2, 5), (2, 7), (3, 7), (3, 11),
+                                      (5, 11)]
         text = export_cnf(inst)
         assert text == _reference_export_cnf(inst)
         assert text == ("c var 1 = ray 2\n"

@@ -22,7 +22,7 @@ def full_pair_spectrum(table, bases) -> DistanceSpectrum:
     basis against every basis, counted over the strict upper triangle.
     """
     gram = table.gram
-    d = table.entries_matrix().shape[1]
+    d = table.entries.shape[1]
     selector = np.zeros((len(bases), len(table)), dtype=np.int64)
     np.put_along_axis(selector, _check_bases(gram, bases, d), 1, axis=1)
     norms = np.diag(gram).astype(np.int64)
@@ -325,18 +325,15 @@ class _StubTable:
     pauli_permutations = ()
 
     def __init__(self, k):
-        self._entries = np.array([[k, 1], [-1, k], [1, 0], [0, 1]],
-                                 dtype=np.int64)
+        self.entries = np.array([[k, 1], [-1, k], [1, 0], [0, 1]],
+                                dtype=np.int64)
 
     def __len__(self):
-        return len(self._entries)
-
-    def entries_matrix(self):
-        return self._entries
+        return len(self.entries)
 
     @property
     def gram(self):
-        return self._entries @ self._entries.T
+        return self.entries @ self.entries.T
 
 
 # Four bases of the plane: (1, 2), (3, 4), (5, 6) and (7, 8).
@@ -349,7 +346,7 @@ class _PlaneTable(_StubTable):
     """Rays of the plane with the given ray permutations as generators."""
 
     def __init__(self, rays, *perms):
-        self._entries = np.array(rays, dtype=np.int64)
+        self.entries = np.array(rays, dtype=np.int64)
         self.pauli_permutations = tuple(np.array(p) for p in perms)
 
 

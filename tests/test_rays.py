@@ -155,7 +155,7 @@ class TestRayTable:
             assert entries[rid - lo] == 1
 
     def test_blocks_are_orthogonal_bases(self, ray_table):
-        entries = ray_table.entries_matrix()
+        entries = ray_table.entries
         for lo, hi in ray_table.block_map.values():
             block = entries[lo - 1:hi]
             gram = block @ block.T
@@ -173,8 +173,16 @@ class TestRayTable:
                                      % bad):
                 lookup(bad)
 
+    def test_entries_are_one_read_only_matrix(self, ray_table):
+        entries = ray_table.entries
+        assert entries.tolist() == [list(r.entries) for r in ray_table.rays]
+        assert ray_table.entries is entries
+        with pytest.raises(ValueError, match="read-only"):
+            entries[0, 0] = 0
+        assert not hasattr(ray_table, "entries_matrix")
+
     def test_gram_is_the_read_only_entries_product(self, ray_table):
-        entries = ray_table.entries_matrix()
+        entries = ray_table.entries
         assert np.array_equal(ray_table.gram, entries @ entries.T)
         assert ray_table.gram is ray_table.gram
         with pytest.raises(ValueError, match="read-only"):
@@ -189,7 +197,7 @@ class TestPauliRayPermutations:
 
     @pytest.fixture(scope="class")
     def perms(self, ray_table):
-        return list(pauli_ray_permutations(ray_table.entries_matrix()))
+        return list(pauli_ray_permutations(ray_table.entries))
 
     def test_each_generator_is_a_ray_permutation(self, perms):
         assert len(perms) == 10
@@ -199,7 +207,7 @@ class TestPauliRayPermutations:
 
     def test_images_match_the_kronecker_matrices(self, ray_table, perms):
         """X_1, Z_1, ..., X_5, Z_5 send each ray to +/- its listed image."""
-        entries = ray_table.entries_matrix()
+        entries = ray_table.entries
         specs = ["I" * q + f + "I" * (4 - q) for q in range(5) for f in "XZ"]
         for spec, perm in zip(specs, perms):
             images = entries @ pauli_to_matrix(make_pauli(spec)).T

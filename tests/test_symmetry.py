@@ -8,7 +8,6 @@ import pytest
 
 from bks5 import catalog, symmetry
 from bks5.cli import main
-from bks5.bases import unpack_rows
 from bks5.symmetry import automorphism_group, build_overlap_graph
 
 
@@ -27,16 +26,15 @@ class TestOverlapGraph:
         assert overlap.labels == tuple(range(1, 22))
 
     def test_edges_match_shared_ray_counts(self, overlap, proof_bases):
-        for (i, j), weight in overlap.weights.items():
+        for i, j in combinations(range(overlap.n), 2):
             shared = set(proof_bases[i]) & set(proof_bases[j])
-            assert len(shared) == weight
-            assert weight >= 1
+            assert len(shared) == overlap.weights[i, j]
 
     def test_adjacency_symmetric(self, overlap):
         for i in range(overlap.n):
             for j in range(overlap.n):
-                assert ((overlap.adj[i] >> j) & 1) == \
-                    ((overlap.adj[j] >> i) & 1)
+                assert (overlap.weights[i, j] > 0) == \
+                    (overlap.weights[j, i] > 0)
 
     def test_partition_members_share_nothing(self, overlap):
         """The five partition bases are pairwise non-adjacent."""
@@ -44,7 +42,47 @@ class TestOverlapGraph:
         for i in members:
             for j in members:
                 if i != j:
-                    assert not (overlap.adj[i] >> j) & 1
+                    assert overlap.weights[i, j] == 0
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3],
+                             ids=["proof", "shuffle-1", "shuffle-2",
+                                  "shuffle-3"])
+    def test_one_read_only_weight_matrix(self, seed):
+        """Entry (i, j) counts the rays bases i and j share, computed here
+        from the bases, for the proof and its re-certification shuffles."""
+        if seed is None:
+            bases = catalog.PROOF_BASES
+        else:
+            order, labels = _shuffle(seed)
+            bases = {label: catalog.PROOF_BASES[k]
+                     for label, k in zip(labels, order)}
+        graph = build_overlap_graph(bases)
+        W = graph.weights
+        sets = [set(bases[k]) for k in sorted(bases)]
+        sharing = 0
+        for i, j in permutations(range(len(sets)), 2):
+            shared = len(sets[i] & sets[j])
+            assert W[i, j] == shared
+            sharing += i < j and shared > 0
+        assert np.array_equal(W, W.T)
+        assert not np.diagonal(W).any()
+        assert W.dtype == np.uint8
+        assert graph.edge_count() == sharing
+        with pytest.raises(ValueError, match="read-only"):
+            W[0, 1] = 0
+        assert not hasattr(graph, "adj")
+
+
+def _shuffle(seed) -> tuple:
+    """A shuffled order of the proof bases and a shuffled list of labels,
+    drawn as the benchmark's proof re-certification draws them."""
+    rng = random.Random(seed)
+    keys = sorted(catalog.PROOF_BASES)
+    order = keys[:]
+    rng.shuffle(order)
+    labels = keys[:]
+    rng.shuffle(labels)
+    return order, labels
 
 
 class TestAutomorphismGroup:
@@ -89,8 +127,8 @@ class TestAutomorphismGroup:
         for perm in report.generators:
             for i in range(overlap.n):
                 for j in range(overlap.n):
-                    assert ((overlap.adj[i] >> j) & 1) == \
-                        ((overlap.adj[perm[i]] >> perm[j]) & 1)
+                    assert (overlap.weights[i, j] > 0) == \
+                        (overlap.weights[perm[i], perm[j]] > 0)
 
     def test_orbits(self, report):
         moved = sorted(o for o in report.orbits if len(o) > 1)
@@ -117,7 +155,9 @@ class TestSmallGraphs:
         assert report.order == 6
 
     def test_empty_graph_has_trivial_group(self):
-        report = automorphism_group(build_overlap_graph({}))
+        graph = build_overlap_graph({})
+        assert graph.weights.shape == (0, 0)
+        report = automorphism_group(graph)
         assert (report.order, report.generators, report.orbits,
                 report.conjugacy_class_count, report.closure_verified) == \
             (1, (), (), 1, True)
@@ -160,7 +200,8 @@ class TestSmallGraphs:
         second[0], second[1] = second[1], second[0]
         broken = [
             next((i, j) for i, j in combinations(range(graph.n), 2)
-                 if (graph.adj[i] >> j) & 1 != (graph.adj[p[i]] >> p[j]) & 1)
+                 if (graph.weights[i, j] > 0)
+                 != (graph.weights[p[i], p[j]] > 0))
             for p in (first, second)]
         assert broken[0] != broken[1]
         monkeypatch.setattr(
@@ -195,7 +236,7 @@ def _graph_from_edges(n, edges):
 
 def _brute_force_automorphisms(g) -> list:
     """Every permutation of the vertices that preserves the adjacency."""
-    A = unpack_rows(g.adj, g.n)
+    A = g.weights > 0
     perms = list(permutations(range(g.n)))
     P = np.array(perms, dtype=np.intp).reshape(len(perms), g.n)
     keep = (A[P[:, :, None], P[:, None, :]] == A).all(axis=(1, 2))
@@ -242,9 +283,8 @@ def _reference_weighted_order(g) -> int:
     """The per-permutation weight loop, kept as an oracle for
     ``AutGroupReport.weighted_order``."""
     def preserves_weights(perm):
-        for (i, j), w in g.weights.items():
-            a, b = perm[i], perm[j]
-            if g.weights.get((min(a, b), max(a, b))) != w:
+        for i, j in combinations(range(g.n), 2):
+            if g.weights[perm[i], perm[j]] != g.weights[i, j]:
                 return False
         return True
     return sum(1 for p in symmetry._all_automorphisms(g)
@@ -331,10 +371,7 @@ class TestSeenThrough:
 
     def test_proof_graph(self, overlap):
         perms = symmetry._all_automorphisms(overlap)
-        W = np.zeros((overlap.n, overlap.n), dtype=np.int64)
-        for (i, j), w in overlap.weights.items():
-            W[i, j] = W[j, i] = w
-        for M in (unpack_rows(overlap.adj, overlap.n), W):
+        for M in (overlap.weights > 0, overlap.weights):
             assert np.array_equal(symmetry._seen_through(M, perms),
                                   self.broadcast(M, perms))
 
@@ -399,12 +436,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_shuffled_labels(self, seed, report):
         """Shuffled as the benchmark's proof re-certification shuffles."""
-        rng = random.Random(seed)
-        keys = sorted(catalog.PROOF_BASES)
-        order = keys[:]
-        rng.shuffle(order)
-        labels = keys[:]
-        rng.shuffle(labels)
+        order, labels = _shuffle(seed)
         proof = [catalog.PROOF_BASES[k] for k in order]
         shuffled = automorphism_group(
             build_overlap_graph(dict(zip(labels, proof))))
