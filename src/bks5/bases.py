@@ -68,7 +68,7 @@ def build_ortho_graph(table: RayTable) -> OrthoGraph:
     the distance spectrum too; the graph keeps neither the table nor its
     Gram matrix.
     """
-    return OrthoGraph(ids=tuple(r.id for r in table.rays),
+    return OrthoGraph(ids=tuple(range(1, len(table) + 1)),
                       rows=pack_rows(table.gram == 0),
                       dim=table.entries.shape[1],
                       automorphisms=table.pauli_permutations)

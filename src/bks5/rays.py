@@ -3,8 +3,8 @@
 Every ray is an integer vector of length 32 with entries in {-1, 0, +1},
 kept sign-canonical (first nonzero entry +1).  The table builder recomputes
 each block of 32 rays from its commuting set with exact integer projectors
-and verifies the result against the embedded reference strings, so the
-published ids stay stable.
+and verifies the result against the embedded reference strings, whose
+order fixes the published ids: a ray's id is its 1-based row.
 """
 from __future__ import annotations
 
@@ -52,10 +52,9 @@ _ENTRIES = frozenset(_ENTRY_OF.values())
 
 @dataclass(frozen=True)
 class Ray:
-    """A sign-canonical integer ray, optionally carrying its table id."""
+    """A sign-canonical integer ray; its id is its row in a ``RayTable``."""
 
     entries: tuple
-    id: int | None = None
 
     def __post_init__(self):
         if not _ENTRIES.issuperset(self.entries):
@@ -75,7 +74,7 @@ class Ray:
                        for e in self.entries)
 
     @classmethod
-    def from_string(cls, s: str, id: int | None = None) -> "Ray":
+    def from_string(cls, s: str) -> "Ray":
         """Parse ``to_string`` output; any other character is named."""
         try:
             entries = tuple(map(_ENTRY_OF.__getitem__, s))
@@ -84,7 +83,7 @@ class Ray:
                            if ch not in _ENTRY_OF)
             raise ValueError("invalid entry %r at position %d (want +, - or 0)"
                              % (ch, pos)) from None
-        return cls(entries, id)
+        return cls(entries)
 
 
 def partner(r: Ray) -> Ray:
@@ -154,7 +153,7 @@ def joint_eigenrays(cset: CommutingSet) -> list[Ray]:
 
 @dataclass(frozen=True)
 class RayTable:
-    """The 160 rays in id order plus the block layout.
+    """The rays plus the block layout; ray id k is row k, counted from 1.
 
     The entries are held once, as the read-only matrix ``entries``; the
     Gram matrix, the Pauli ray permutations and the partner ids are
@@ -208,9 +207,9 @@ class RayTable:
         does.  A ray whose partner is not in the table has no entry.
         """
         flipped = _canonical_rows(-self.entries[:, ::-1])
-        index = {r.entries: r.id for r in self.rays}
-        return {r.id: index[entries]
-                for r, entries in zip(self.rays, map(tuple, flipped.tolist()))
+        index = {r.entries: i for i, r in enumerate(self.rays, 1)}
+        return {i: index[entries]
+                for i, entries in enumerate(map(tuple, flipped.tolist()), 1)
                 if entries in index}
 
     def block_of(self, ray_id: int) -> str:
@@ -223,9 +222,10 @@ class RayTable:
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["id"] + ["e%d" % i for i in range(1, 33)])
-            for r in self.rays:
-                w.writerow([r.id] + list(r.entries))
+            w.writerow(["id"] + ["e%d" % i for i in
+                                 range(1, self.entries.shape[1] + 1)])
+            for ray_id, r in enumerate(self.rays, 1):
+                w.writerow([ray_id] + list(r.entries))
 
 
 def row_permutation(rows: np.ndarray, images: np.ndarray):
@@ -316,7 +316,7 @@ def magic_configuration() -> list:
 
 
 def build_ray_table() -> RayTable:
-    """Recompute all five blocks and arrange them in reference id order.
+    """The embedded rays in catalog order, each block recomputed.
 
     Each block's 32 eigenrays are matched as a set against the embedded
     strings for that id range; any divergence raises RayTableError naming
@@ -324,19 +324,15 @@ def build_ray_table() -> RayTable:
     sit in the same block.
     """
     sets = five_sets()
-    reference = [Ray.from_string(s, i + 1) for i, s in enumerate(catalog.RAYS)]
-    table = {}
+    rays = tuple(map(Ray.from_string, catalog.RAYS))
     for label, (lo, hi) in catalog.BLOCK_RANGES.items():
-        computed = {r.entries for r in joint_eigenrays(sets[label])}
-        for ray_id in range(lo, hi + 1):
-            ref = reference[ray_id - 1]
-            if ref.entries not in computed:
+        computed = set(joint_eigenrays(sets[label]))
+        for ray_id, ray in enumerate(rays[lo - 1:hi], lo):
+            if ray not in computed:
                 raise RayTableError(
                     "ray %d is not an eigenray of set %s" % (ray_id, label))
-            table[ray_id] = ref
         if len(computed) != hi - lo + 1:
             raise RayTableError("set %s produced duplicate rays" % label)
-    rays = tuple(table[i] for i in range(1, 161))
     result = RayTable(rays=rays, block_map=dict(catalog.BLOCK_RANGES))
     _validate_table(result)
     return result
@@ -358,14 +354,14 @@ def _validate_table(table: RayTable):
             raise RayTableError(
                 "rays %d and %d of block %s are not orthogonal"
                 % (i, j, label))
-    for r in table.rays:
-        pid = table._partner_ids.get(r.id)
+    for rid in range(1, len(table) + 1):
+        pid = table._partner_ids.get(rid)
         if pid is None:
-            raise RayTableError("partner of ray %d is not in the table" % r.id)
+            raise RayTableError("partner of ray %d is not in the table" % rid)
         # block_of raises for a ray in no block; the ray is named first.
-        if table.block_of(r.id) != table.block_of(pid):
+        if table.block_of(rid) != table.block_of(pid):
             raise RayTableError(
-                "partner of ray %d falls outside its block" % r.id)
+                "partner of ray %d falls outside its block" % rid)
 
 
 def identify_block(r: Ray) -> str:

@@ -63,6 +63,5 @@ def mermin_table():
                 seen[key] = len(seen) + 1
             ids.append(seen[key])
         contexts.append(tuple(sorted(ids)))
-    rays = tuple(Ray(entries, rid) for entries, rid in
-                 sorted(seen.items(), key=lambda kv: kv[1]))
-    return RayTable(rays=rays, block_map={}), contexts
+    # ``seen`` keeps first-seen order, so ray id k is row k.
+    return RayTable(rays=tuple(map(Ray, seen)), block_map={}), contexts

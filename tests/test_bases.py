@@ -77,7 +77,7 @@ class TestOrthoGraph:
 
     def test_generators_stop_at_the_first_off_the_table(self):
         """X_2 moves (1, 0, 0, 0) off this table; X_1 and Z_1 come first."""
-        table = RayTable(rays=(Ray((1, 0, 0, 0), 1), Ray((0, 0, 1, 0), 2)),
+        table = RayTable(rays=(Ray((1, 0, 0, 0)), Ray((0, 0, 1, 0))),
                          block_map={})
         graph = build_ortho_graph(table)
         assert [p.tolist() for p in graph.automorphisms] == [[1, 0], [0, 1]]

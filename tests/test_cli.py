@@ -335,6 +335,27 @@ class TestVerifyCommand:
         reason = lines[lines.index("%-22s FAIL" % "geometry") + 1]
         assert reason == "    reason: ValueError: no generator split"
 
+    @pytest.mark.parametrize("attr, mutant", [
+        ("quadratic_form", lambda u, n: 1),
+        ("classify_generator_systems",
+         lambda spaces: (frozenset({"A"}), frozenset(spaces) - {"A"})),
+    ], ids=["off_quadric", "systems"])
+    def test_wrong_report_fails_geometry_alone(self, tmp_path, monkeypatch,
+                                               capsys, attr, mutant):
+        """Every point off the quadric, or the systems split as {A} and
+        the rest: the check compares the whole report, so it fails."""
+        monkeypatch.setattr(geometry, attr, mutant)
+        code, _ = run(tmp_path, "verify")
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("verify: 9/10 checks passed")
+        assert [line for line in lines[:-1] if line.endswith("PASS")] == \
+            ["%-22s PASS" % name for name in VERIFY_CHECKS
+             if name != "geometry"]
+        reason = lines[lines.index("%-22s FAIL" % "geometry") + 1]
+        assert re.fullmatch(r"    reason: got GeometryReport\(.*\), "
+                            r"expected GeometryReport\(.*\)", reason)
+
     def test_wrong_ortho_pair_count_fails_maximal_bases(self, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.setattr(catalog, "ORTHO_PAIR_COUNT",

@@ -266,9 +266,7 @@ class TestOrbitSpectrum:
         entries = [(1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -1, 0),
                    (0, 1, 0, -1), (1, 1, -1, -1), (1, -1, -1, 1),
                    (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0)]
-        table = RayTable(rays=tuple(Ray(e, i + 1)
-                                    for i, e in enumerate(entries)),
-                         block_map={})
+        table = RayTable(rays=tuple(map(Ray, entries)), block_map={})
         assert len(table.pauli_permutations) == 2
         bases = [(1, 2, 3, 4), (5, 6, 7, 8)]
         assert orbit_count(table, bases) == 1

@@ -1,5 +1,6 @@
 """Tests for joint eigenrays, the 160-ray table, and partner structure."""
 import random
+from dataclasses import fields
 from itertools import product
 from math import gcd
 
@@ -308,16 +309,21 @@ class TestPartner:
 
     def test_partner_ids_match_partner(self, ray_table):
         """The table's partner ids against ``partner`` ray by ray."""
-        index = {r.entries: r.id for r in ray_table.rays}
+        index = {r.entries: rid for rid, r in enumerate(ray_table.rays, 1)}
         for rid in range(1, 161):
             assert ray_table.partner_id(rid) == \
                 index[partner(ray_table[rid]).entries]
 
+    def test_partner_equals_the_partner_id_row(self, ray_table):
+        """A ray equals another exactly when their entries do."""
+        for rid in range(1, 161):
+            assert partner(ray_table[rid]) == \
+                ray_table[ray_table.partner_id(rid)]
+
 
 def _small_table(block_map, *rays):
     """A hand-built table over R^4; ``rays`` are entry tuples in id order."""
-    return RayTable(rays=tuple(Ray(e, i) for i, e in enumerate(rays, 1)),
-                    block_map=block_map)
+    return RayTable(rays=tuple(map(Ray, rays)), block_map=block_map)
 
 
 class TestValidateTable:
@@ -374,8 +380,24 @@ class TestValidateTable:
         with pytest.raises(RayTableError, match="^ray 3 lies in no block$"):
             _validate_table(table)
 
+    def test_ids_are_rows(self):
+        """The graph's ids and the partner ids both name rays by row."""
+        table = RayTable(rays=tuple(map(Ray, ((0, 1), (1, 0), (1, 1),
+                                              (1, -1)))),
+                         block_map={"P": (1, 2), "Q": (3, 4)})
+        _validate_table(table)
+        graph = bases.build_ortho_graph(table)
+        assert graph.ids == (1, 2, 3, 4)
+        assert [table.partner_id(rid) for rid in graph.ids] == [2, 1, 3, 4]
+        for rid in graph.ids:
+            assert [graph.rows[graph.position[rid]] >> graph.position[k] & 1
+                    for k in graph.ids] == \
+                [int(k != rid and not np.dot(table[rid].entries,
+                                             table[k].entries))
+                 for k in graph.ids]
+
     def test_block_of_names_a_ray_in_no_block(self):
-        table = RayTable(rays=(Ray((1, 0), 1), Ray((0, 1), 2)), block_map={})
+        table = RayTable(rays=(Ray((1, 0)), Ray((0, 1))), block_map={})
         with pytest.raises(RayTableError, match="^ray 1 lies in no block$"):
             table.block_of(1)
 
@@ -408,6 +430,12 @@ class TestValidateTable:
 
 class TestRayValidation:
     """Ray construction and canonicalization rules."""
+
+    def test_entries_are_the_only_field(self):
+        """A ray's id is its row in a table, so a ray carries none."""
+        assert [f.name for f in fields(Ray)] == ["entries"]
+        with pytest.raises(TypeError):
+            Ray((1, 0), 2)
 
     def test_rejects_non_canonical_sign(self):
         with pytest.raises(ValueError, match="canonical"):
@@ -470,6 +498,18 @@ class TestTableSerialization:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert [int(x) for x in first[1:]] == list(ray_table[1].entries)
+
+    def test_csv_width_follows_the_entries(self, mermin_table, tmp_path):
+        """Four entry columns for the two-qubit rays, not 32."""
+        table, _ = mermin_table
+        path = tmp_path / "rays.csv"
+        table.to_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "id,e1,e2,e3,e4"
+        assert len(lines) == 25
+        assert all(len(line.split(",")) == 5 for line in lines)
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            [str(rid) for rid in range(1, 25)]
 
 
 class TestGoldenMismatchDetection:
